@@ -2,7 +2,7 @@
 //! measures in-process, re-measured through a real `net::Server` on
 //! loopback TCP. The difference between the two files is the price of
 //! the service boundary — HTTP parse, length framing, thread handoff —
-//! which the `bench psp --net` gate bounds in CI.
+//! which perfbench's `view-hot` workload measures end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use puppies_bench::pascal_image;

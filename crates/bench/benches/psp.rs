@@ -1,7 +1,7 @@
-//! PSP serving-path benchmarks: the operations `bench psp` drives in a
-//! closed loop, isolated here per-operation under criterion so regressions
-//! pinpoint to a path (zero-copy download vs transform cache vs full
-//! pipeline) rather than a workload mix.
+//! PSP serving-path benchmarks: the operations perfbench's `view-hot` and
+//! `receive` workloads drive in a loop, isolated here per-operation under
+//! criterion so regressions pinpoint to a path (zero-copy download vs
+//! transform cache vs full pipeline) rather than a workload mix.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use puppies_bench::pascal_image;
@@ -27,7 +27,7 @@ fn bench_store_paths(c: &mut Criterion) {
         .expect("upload fixture");
 
     let mut group = c.benchmark_group("psp_store");
-    // Zero-copy download: Arc clone + request-log append, no byte copy.
+    // Zero-copy download: an Arc clone, no byte copy.
     group.bench_function("download_zero_copy", |b| {
         b.iter(|| server.download(id).expect("download"))
     });

@@ -25,17 +25,13 @@
 //! Images are read/written as binary PPM (P6); the protected image is a
 //! baseline JPEG any viewer can open (showing the perturbed regions).
 //!
-//! `protect`, `protect-batch`, `recover`, `conformance`, and `bench` all
-//! accept `--trace <file>` (write a Chrome `trace_event` file loadable in
+//! `protect`, `protect-batch`, `recover` and `conformance` all accept
+//! `--trace <file>` (write a Chrome `trace_event` file loadable in
 //! Perfetto / `about:tracing`) and `--stats <file>` (write a JSON metrics
 //! snapshot that `puppies stats` pretty-prints).
 //!
-//! `bench` measures the codec hot path; `bench psp` runs the closed-loop
-//! PSP serving benchmark (sharded store + transform cache vs an embedded
-//! replica of the pre-cache server) — see [`bench_psp`]. `bench psp
-//! --cluster` benches the k-of-n Shamir-shared cluster instead — see
-//! [`bench_cluster`] — and `bench psp --dup` the recompressed-duplicate
-//! dedup path and near-duplicate search scaling — see [`bench_dedup`].
+//! Performance is measured by the end-to-end benchmark in `perfbench/`
+//! (`python3 perfbench/run.py --workload <w>`), not by this binary.
 
 use puppies_core::{
     protect, KeyGrant, OwnerKey, PerturbProfile, PrivacyLevel, ProtectOptions, PublicParams, Scheme,
@@ -44,11 +40,6 @@ use puppies_image::{io as img_io, Rect};
 use puppies_psp::channel::{decode_grant, encode_grant};
 use std::process::exit;
 
-mod bench;
-mod bench_cluster;
-mod bench_dedup;
-mod bench_net;
-mod bench_psp;
 mod cluster;
 mod serve;
 mod top;
@@ -65,7 +56,6 @@ fn main() {
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("stats") => cmd_stats(&args[1..]),
         Some("conformance") => cmd_conformance(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
         Some("cluster") => cluster::cmd(&args[1..]),
         Some("serve") => serve::cmd_serve(&args[1..]),
         Some("net") => serve::cmd_net(&args[1..]),
@@ -87,7 +77,7 @@ fn main() {
 fn usage() {
     eprintln!(
         "puppies — privacy-preserving partial image sharing\n\
-         commands: keygen, detect, protect, protect-batch, grant, recover, inspect, stats, conformance, bench,\n\
+         commands: keygen, detect, protect, protect-batch, grant, recover, inspect, stats, conformance,\n\
          \x20         serve, net (smoke|flood|verify|ready|dup), search, top, wal-dump, cluster (demo)\n\
          (see the crate docs or README for full flag reference)"
     );
@@ -464,132 +454,6 @@ fn cmd_inspect(args: &[String]) -> CliResult {
             roi.zind.len(),
             roi.wind.len()
         );
-    }
-    Ok(())
-}
-
-/// `puppies bench [--out f.json] [--check committed.json] [--pre old.json]
-/// [--pre-section current] [--threshold 0.4] [--min-protect-speedup F]
-/// [--iters N] [--threads N] [--quality Q] [--obs-overhead-gate PCT]
-/// [--trace f.json] [--stats f.json]`
-///
-/// Measures codec + protect/recover throughput on the deterministic
-/// fixture, then repeats the run with an observability subscriber
-/// installed to collect the per-stage breakdown (written to the JSON
-/// `stages` section) and the instrumentation overhead.
-/// `--check` is CI's perf gate against the committed
-/// `results/BENCH_codec.json`; `--pre` embeds an earlier run's
-/// `--pre-section` (default `current`) as the pre-PR baseline with
-/// computed speedups; `--obs-overhead-gate` fails the run if the summed
-/// instrumented op time exceeds the plain run by more than PCT percent.
-fn cmd_bench(args: &[String]) -> CliResult {
-    // `bench psp` is the serving-path benchmark (`--net` drives it over
-    // real loopback TCP); everything else is the codec bench.
-    if positionals(args).first() == Some(&"psp") {
-        if has_flag(args, "--net") {
-            return bench_net::cmd(args);
-        }
-        if has_flag(args, "--cluster") {
-            return bench_cluster::cmd(args);
-        }
-        if has_flag(args, "--dup") {
-            return bench_dedup::cmd(args);
-        }
-        return bench_psp::cmd(args);
-    }
-    let parse_num = |name: &str, default: f64| -> Result<f64, String> {
-        match flag_value(args, name) {
-            Some(v) => v.parse().map_err(|e| format!("bad {name} {v:?}: {e}")),
-            None => Ok(default),
-        }
-    };
-    let iters = parse_num("--iters", 5.0)? as usize;
-    let threads = parse_num("--threads", 1.0)? as usize;
-    let quality = parse_num("--quality", 75.0)? as u8;
-    let threshold = parse_num("--threshold", 0.4)?;
-
-    let res = bench::run(iters.max(1), threads.max(1), quality)?;
-    for &(name, r) in &res.ops {
-        println!(
-            "{name:>8}: {:8.2} ms  {:>10.0} blocks/s  {:8.2} MB/s",
-            r.ms, r.blocks_per_s, r.mb_per_s
-        );
-    }
-
-    // Second, instrumented pass: stage-level span histograms plus a
-    // like-for-like set of op timings for the overhead measurement.
-    let (instr_res, obs) = bench::run_instrumented(iters.max(1), threads.max(1), quality)?;
-    let snap = obs.metrics().snapshot();
-    let overhead = bench::overhead_pct(&res, &instr_res);
-    println!(
-        "instrumented rerun: {} span(s), overhead {overhead:+.2}%",
-        obs.span_count()
-    );
-    if let Some(path) = flag_value(args, "--trace") {
-        std::fs::write(path, obs.chrome_trace()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("trace written to {path}");
-    }
-    if let Some(path) = flag_value(args, "--stats") {
-        std::fs::write(path, obs.stats_json()).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("stats written to {path} — view with `puppies stats {path}`");
-    }
-
-    let pre = match flag_value(args, "--pre") {
-        Some(path) => {
-            let section = flag_value(args, "--pre-section").unwrap_or("current");
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            Some(bench::parse_section(&text, section)?)
-        }
-        None => None,
-    };
-    let json = bench::to_json(&res, pre.as_deref(), Some(&snap), Some(overhead));
-    if let Some(out) = flag_value(args, "--out") {
-        if let Some(dir) = std::path::Path::new(out).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)
-                    .map_err(|e| format!("creating {}: {e}", dir.display()))?;
-            }
-        }
-        std::fs::write(out, &json).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("results written to {out}");
-    }
-    if let Some(path) = flag_value(args, "--check") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-        let committed = bench::parse_section(&text, "current")?;
-        let (lines, ok) = bench::check(&res, &committed, threshold);
-        for l in &lines {
-            println!("{l}");
-        }
-        if !ok {
-            return Err(format!(
-                "throughput regressed more than {:.0}% below {path}",
-                threshold * 100.0
-            ));
-        }
-        println!("within {:.0}% of {path}", threshold * 100.0);
-        if let Some(floor) = flag_value(args, "--min-protect-speedup") {
-            let floor: f64 = floor
-                .parse()
-                .map_err(|e| format!("bad --min-protect-speedup {floor:?}: {e}"))?;
-            let (line, ok) = bench::check_protect_floor(&text, floor)?;
-            println!("{line}");
-            if !ok {
-                return Err(format!(
-                    "committed protect speedup fell below the {floor:.2}x floor in {path}"
-                ));
-            }
-        }
-    }
-    if let Some(gate) = flag_value(args, "--obs-overhead-gate") {
-        let gate: f64 = gate
-            .parse()
-            .map_err(|e| format!("bad --obs-overhead-gate {gate:?}: {e}"))?;
-        if overhead > gate {
-            return Err(format!(
-                "instrumentation overhead {overhead:.2}% exceeds the {gate:.2}% gate"
-            ));
-        }
-        println!("instrumentation overhead {overhead:.2}% within the {gate:.2}% gate");
     }
     Ok(())
 }

@@ -1,13 +1,13 @@
 //! GF(2⁸) arithmetic for the Shamir layer: the AES field
 //! (x⁸ + x⁴ + x³ + x + 1, reduction polynomial `0x11B`) with log/exp
 //! tables built at compile time, so a multiply is two table loads and a
-//! modular add — the per-byte cost the split/reconstruct throughput gate
-//! in `bench psp --cluster` watches.
+//! modular add — the per-byte cost behind perfbench's
+//! `shamir.split_mib_s` / `shamir.reconstruct_mib_s` rows on the `sis`
+//! workload.
 //!
 //! [`mul_naive`] keeps the bitwise Russian-peasant product as the
-//! reference implementation: the proptests pin `mul == mul_naive` over
-//! the whole field, and the bench embeds a naive-splitter replica so the
-//! table speedup is a machine-independent ratio.
+//! reference implementation: the exhaustive unit test and the proptests
+//! pin `mul == mul_naive` over the whole field.
 
 /// The field's reduction polynomial, x⁸ + x⁴ + x³ + x + 1.
 pub const POLY: u16 = 0x11B;
@@ -89,8 +89,8 @@ pub fn pow(a: u8, e: u32) -> u8 {
 }
 
 /// Bitwise reference multiplication (Russian peasant with modular
-/// reduction) — the straw-man the table implementation is benchmarked
-/// and differential-tested against.
+/// reduction) — the reference the table implementation is
+/// differential-tested against.
 pub fn mul_naive(a: u8, b: u8) -> u8 {
     let mut a = a as u16;
     let mut b = b as u16;

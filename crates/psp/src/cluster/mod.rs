@@ -205,18 +205,6 @@ impl ShardedPspCluster {
         self.faults.clear_all();
     }
 
-    /// Indices of backends currently armed with [`Fault::Kill`].
-    pub fn dead_backends(&self) -> Vec<usize> {
-        self.faults.dead_backends()
-    }
-
-    /// `(healthy, total, k)` — the readiness quorum summary the serving
-    /// layer's `/readyz` probe wants (see `net::server::QuorumProbe`).
-    pub fn quorum_status(&self) -> (usize, usize, usize) {
-        let n = self.config.n;
-        (n - self.faults.dead_backends().len(), n, self.config.k)
-    }
-
     fn derive_split_seed(&self, id: u64, generation: u16) -> [u8; 32] {
         let nonce = self.split_nonce.fetch_add(1, Ordering::Relaxed);
         sha256_concat(&[

@@ -184,20 +184,6 @@ pub fn split(
     generation: u16,
     seed: [u8; 32],
 ) -> Result<Vec<Share>, ShamirError> {
-    split_with(secret, n, k, generation, seed, gf256::mul)
-}
-
-/// [`split`] parameterised over the field multiplier so the bench can
-/// run the identical algorithm over [`gf256::mul_naive`] and report a
-/// machine-independent table-vs-naive ratio.
-pub fn split_with(
-    secret: &[u8],
-    n: usize,
-    k: usize,
-    generation: u16,
-    seed: [u8; 32],
-    mul: fn(u8, u8) -> u8,
-) -> Result<Vec<Share>, ShamirError> {
     if k == 0 || n == 0 || k > n || n > 255 {
         return Err(ShamirError::BadParameters { n, k });
     }
@@ -218,11 +204,11 @@ pub fn split_with(
         if !coeffs.is_empty() {
             for row in coeffs.iter().rev().skip(1) {
                 for (acc, &c) in payload.iter_mut().zip(row.iter()) {
-                    *acc = mul(*acc, x) ^ c;
+                    *acc = gf256::mul(*acc, x) ^ c;
                 }
             }
             for (acc, &s) in payload.iter_mut().zip(secret.iter()) {
-                *acc = mul(*acc, x) ^ s;
+                *acc = gf256::mul(*acc, x) ^ s;
             }
         }
         let tag = share_tag(x, k as u8, n as u8, generation, &payload);
@@ -248,12 +234,6 @@ pub fn split_with(
 /// Fails on a bad tag, inconsistent headers, or fewer than k distinct
 /// valid shares.
 pub fn reconstruct(shares: &[Share]) -> Result<Vec<u8>, ShamirError> {
-    reconstruct_with(shares, gf256::mul)
-}
-
-/// [`reconstruct`] parameterised over the field multiplier (see
-/// [`split_with`]).
-pub fn reconstruct_with(shares: &[Share], mul: fn(u8, u8) -> u8) -> Result<Vec<u8>, ShamirError> {
     let first = shares
         .first()
         .ok_or(ShamirError::NotEnoughShares { have: 0, need: 1 })?;
@@ -311,17 +291,17 @@ pub fn reconstruct_with(shares: &[Share], mul: fn(u8, u8) -> u8) -> Result<Vec<u
             if i == j {
                 continue;
             }
-            num = mul(num, sj.index);
-            den = mul(den, sj.index ^ si.index);
+            num = gf256::mul(num, sj.index);
+            den = gf256::mul(den, sj.index ^ si.index);
         }
-        weights.push(mul(num, gf256::inv(den)));
+        weights.push(gf256::mul(num, gf256::inv(den)));
     }
 
     let len = first.payload.len();
     let mut secret = vec![0u8; len];
     for (w, share) in weights.iter().zip(picked.iter()) {
         for (out, &b) in secret.iter_mut().zip(share.payload.iter()) {
-            *out ^= mul(*w, b);
+            *out ^= gf256::mul(*w, b);
         }
     }
     Ok(secret)
@@ -426,13 +406,5 @@ mod tests {
         assert!(split(b"s", 0, 0, 0, seed(11)).is_err());
         assert!(split(b"s", 2, 3, 0, seed(11)).is_err());
         assert!(split(b"s", 256, 2, 0, seed(11)).is_err());
-    }
-
-    #[test]
-    fn naive_field_reconstructs_table_split() {
-        let secret = b"cross-implementation".to_vec();
-        let shares = split_with(&secret, 5, 3, 0, seed(12), gf256::mul_naive).unwrap();
-        assert_eq!(reconstruct_with(&shares[2..], gf256::mul).unwrap(), secret);
-        assert_eq!(reconstruct(&shares[..3]).unwrap(), secret);
     }
 }

@@ -1,8 +1,8 @@
 //! Blocking PSP client over one keep-alive connection.
 //!
 //! Mirrors the in-process [`crate::PspServer`] doors one-for-one so
-//! callers (the CLI, the `bench psp --net` load generator, the
-//! conformance oracle) can swap the wire in and compare byte-for-byte.
+//! callers (the CLI, the perfbench load generator, the conformance
+//! oracle) can swap the wire in and compare byte-for-byte.
 
 use super::http;
 use super::proto;

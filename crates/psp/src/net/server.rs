@@ -203,11 +203,6 @@ fn random_token() -> [u8; 32] {
     sha256(&seed)
 }
 
-/// Reports cluster backend health as `(healthy, total, k)` for readiness:
-/// ready needs `healthy >= k`. Attached via [`Server::set_quorum_probe`]
-/// when the store fronts a [`crate::cluster::ShardedPspCluster`].
-pub type QuorumProbe = Box<dyn Fn() -> (usize, usize, usize) + Send + Sync>;
-
 /// Shared state between the accept loop and handler threads.
 struct Shared {
     /// Published by [`Recovery::run`] once WAL replay finishes; every
@@ -220,7 +215,6 @@ struct Shared {
     draining: AtomicBool,
     connections: AtomicUsize,
     slo: SloRegistry,
-    quorum: RwLock<Option<QuorumProbe>>,
     access_log: Mutex<Option<BufWriter<File>>>,
     access_seq: AtomicU64,
 }
@@ -340,7 +334,6 @@ impl Server {
             draining: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
             slo: SloRegistry::new(SloConfig::default()),
-            quorum: RwLock::new(None),
             access_log: Mutex::new(access_log),
             access_seq: AtomicU64::new(0),
         });
@@ -369,15 +362,6 @@ impl Server {
             .get()
             .map(DiskStore::recovery)
             .unwrap_or_default()
-    }
-
-    /// Attaches a cluster-quorum health probe that `/readyz` and
-    /// `/metrics` consult (see [`QuorumProbe`]).
-    pub fn set_quorum_probe(
-        &self,
-        probe: impl Fn() -> (usize, usize, usize) + Send + Sync + 'static,
-    ) {
-        *self.shared.quorum.write() = Some(Box::new(probe));
     }
 
     /// Serves until SIGTERM/SIGINT or `POST /admin/shutdown`, then drains:
@@ -696,9 +680,8 @@ fn route(shared: &Shared, req: &Request) -> Response {
     }
 }
 
-/// Readiness: 200 only when the store is recovered, its IO is healthy,
-/// and (when a probe is attached) the cluster has write quorum. The 503
-/// body lists every failing condition, one per line.
+/// Readiness: 200 only when the store is recovered and its IO is
+/// healthy. The 503 body lists every failing condition, one per line.
 fn readyz(shared: &Shared) -> Response {
     let mut reasons: Vec<String> = Vec::new();
     if !shared.ready() {
@@ -709,14 +692,6 @@ fn readyz(shared: &Shared) -> Response {
             shared.store().io_failures()
         ));
     }
-    if let Some(probe) = shared.quorum.read().as_ref() {
-        let (healthy, total, k) = probe();
-        if healthy < k {
-            reasons.push(format!(
-                "cluster: {healthy}/{total} backends healthy, quorum needs {k}"
-            ));
-        }
-    }
     if reasons.is_empty() {
         Response::text("ready\n")
     } else {
@@ -726,7 +701,7 @@ fn readyz(shared: &Shared) -> Response {
 
 /// The Prometheus text exposition: the process-wide [`puppies_obs`]
 /// registry, the per-endpoint SLO families, and the server's own
-/// readiness/quorum gauges. 503 when no subscriber is installed, so a
+/// readiness gauge. 503 when no subscriber is installed, so a
 /// scrape of a metrics-less process is an explicit failure rather than
 /// an empty success.
 fn metrics(shared: &Shared) -> Response {
@@ -741,15 +716,6 @@ fn metrics(shared: &Shared) -> Response {
     } else {
         "psp_ready 0\n"
     });
-    if let Some(probe) = shared.quorum.read().as_ref() {
-        let (healthy, total, k) = probe();
-        out.push_str("# TYPE psp_cluster_backends_healthy gauge\n");
-        out.push_str(&format!("psp_cluster_backends_healthy {healthy}\n"));
-        out.push_str("# TYPE psp_cluster_backends_total gauge\n");
-        out.push_str(&format!("psp_cluster_backends_total {total}\n"));
-        out.push_str("# TYPE psp_cluster_quorum_k gauge\n");
-        out.push_str(&format!("psp_cluster_quorum_k {k}\n"));
-    }
     Response::ok(out.into_bytes()).with_header("content-type", "text/plain; version=0.0.4")
 }
 

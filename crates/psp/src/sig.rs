@@ -27,8 +27,8 @@
 //! × 64 bits); larger thresholds still find virtually all neighbours
 //! because flipped bits rarely spread across all four bands. Each probe
 //! touches 4 buckets of expected size `n / 65536`, so lookups stay
-//! sublinear in the store size — the property `bench psp --dup` measures
-//! at 1k/10k/100k entries.
+//! sublinear in the store size — the `lookups_scan_sublinearly` test
+//! holds the scanned-candidate growth from 1k to 100k entries at ≤25×.
 
 use crate::store::PhotoId;
 use puppies_image::Rect;
@@ -128,7 +128,7 @@ pub struct SigIndex {
     /// band value → entry slots, one map per band position.
     buckets: [HashMap<u16, Vec<u32>>; 4],
     /// Candidate slots scanned by lookups since construction (the
-    /// sublinearity observable `bench psp --dup` reports).
+    /// sublinearity observable the index tests assert on).
     scanned: u64,
 }
 
@@ -363,7 +363,6 @@ mod tests {
 
     #[test]
     fn lookups_scan_sublinearly() {
-        let mut idx = SigIndex::new();
         // Pseudo-random signatures: xorshift64*.
         let mut s = 0x0123_4567_89AB_CDEFu64;
         let mut next = move || {
@@ -372,6 +371,7 @@ mod tests {
             s ^= s >> 27;
             s.wrapping_mul(0x2545_F491_4F6C_DD1D)
         };
+        let mut idx = SigIndex::new();
         for i in 0..20_000u64 {
             idx.insert(entry(next(), i));
         }
@@ -382,5 +382,40 @@ mod tests {
         let per_query = (idx.scanned() - before) as f64 / 100.0;
         // Expected bucket size is 20000/65536 < 1 per band; allow slack.
         assert!(per_query < 40.0, "scanned {per_query} candidates/query");
+
+        // Across a 100x size spread, probes that each sit within 2 bits of
+        // a planted signature are all found, and the candidates scanned
+        // per query grow by at most 25x (a linear scan grows 100x).
+        const QUERIES: usize = 200;
+        let mut scanned_per_query = Vec::new();
+        for size in [1_000usize, 10_000, 100_000] {
+            let mut idx = SigIndex::new();
+            let planted: Vec<u64> = (0..size as u64)
+                .map(|i| {
+                    let sig = next();
+                    idx.insert(entry(sig, i));
+                    sig
+                })
+                .collect();
+            let before = idx.scanned();
+            for _ in 0..QUERIES {
+                let target = planted[(next() % size as u64) as usize];
+                let mut probe = target;
+                for _ in 0..next() % 3 {
+                    probe ^= 1u64 << (next() % 64);
+                }
+                let hits = idx.lookup(probe, NEAR_DUP_DISTANCE);
+                assert!(
+                    hits.iter().any(|m| m.entry.sig == target),
+                    "planted {target:#x} not found at {size} entries"
+                );
+            }
+            scanned_per_query.push((idx.scanned() - before) as f64 / QUERIES as f64);
+        }
+        let growth = scanned_per_query[2] / scanned_per_query[0];
+        assert!(
+            growth <= 25.0,
+            "scanned/query grew {growth:.1}x from 1k to 100k entries: {scanned_per_query:?}"
+        );
     }
 }

@@ -35,10 +35,9 @@ use puppies_core::PublicParams;
 use puppies_image::Rect;
 use puppies_jpeg::{CoeffImage, EncodeOptions};
 use puppies_transform::Transformation;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 /// Identifies a stored photo.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -59,8 +58,7 @@ struct StoredPhoto {
     hashes: OnceLock<(u64, u64)>,
     /// Perceptual identity: `Some((signature, family-root content key))`
     /// once the upload-time indexer has run and the bytes decoded; `None`
-    /// inside when the bytes are not a decodable JPEG. Unset while the
-    /// signature layer is disabled (see [`PspConfig::signature`]).
+    /// inside when the bytes are not a decodable JPEG.
     identity: OnceLock<Option<(u64, u64)>>,
 }
 
@@ -125,45 +123,10 @@ impl ServedPath {
     }
 }
 
-/// One entry of the server's bounded per-request log: which API door was
-/// hit, for which photo, how many payload bytes moved, how long it took,
-/// whether it succeeded, and whether the transform cache served it. Small
-/// and `Copy` so snapshotting the log is a memcpy, not a clone-per-entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RequestEntry {
-    /// API name: `"upload"`, `"download"`, `"download_params"`,
-    /// `"transform"`, `"download_transformed"`.
-    pub op: &'static str,
-    /// Photo id the request touched.
-    pub id: u64,
-    /// Payload bytes moved (image + params for uploads, response size for
-    /// downloads and transforms; 0 on failure).
-    pub bytes: u64,
-    /// Wall-clock service time in nanoseconds.
-    pub dur_ns: u64,
-    /// Whether the request succeeded.
-    pub ok: bool,
-    /// Transform-cache outcome for this request.
-    pub cache: CacheOutcome,
-    /// Which pipeline served this request (transform doors only).
-    pub served: ServedPath,
-    /// Global admission order (monotonic across all shards) — entries from
-    /// different log shards merge into one timeline by sorting on this.
-    pub seq: u64,
-}
-
-/// Default cap on retained request-log entries (older ones are evicted
-/// first — the log is a bounded ring, never a leak). Tunable per server
-/// via [`PspConfig::request_log_capacity`].
-pub const REQUEST_LOG_CAPACITY: usize = 256;
-
-/// One store shard: a photo map plus the request-log segment for the
-/// photos that hash here. Logging an op only contends with ops on the same
-/// shard, never globally.
+/// One store shard: the map of the photos whose ids hash here.
 #[derive(Debug, Default)]
 struct Shard {
     photos: RwLock<HashMap<PhotoId, Arc<StoredPhoto>>>,
-    log: Mutex<VecDeque<RequestEntry>>,
 }
 
 /// One interner bucket: candidate allocations sharing a hash, each with
@@ -235,14 +198,6 @@ pub struct PspConfig {
     pub cache_budget_bytes: usize,
     /// Max decoded images retained by the transform-miss memo; 0 disables.
     pub decode_memo_entries: usize,
-    /// Request-log ring capacity per server (clamped to ≥1); defaults to
-    /// [`REQUEST_LOG_CAPACITY`].
-    pub request_log_capacity: usize,
-    /// Whether the perceptual-identity layer runs: upload-time signature
-    /// extraction, near-duplicate indexing, decode-memo pre-warming and
-    /// the second-level (signature-family) transform-cache key. On by
-    /// default; benches disable it to measure the exact-key-only baseline.
-    pub signature: bool,
 }
 
 impl Default for PspConfig {
@@ -251,8 +206,6 @@ impl Default for PspConfig {
             shards: 16,
             cache_budget_bytes: 32 << 20,
             decode_memo_entries: 8,
-            request_log_capacity: REQUEST_LOG_CAPACITY,
-            signature: true,
         }
     }
 }
@@ -260,7 +213,7 @@ impl Default for PspConfig {
 impl PspConfig {
     /// A configuration with the transform cache and decode memo disabled —
     /// every transform runs the full pipeline (used by coherence tests and
-    /// as the honest "cold" baseline in benches).
+    /// as the byte-exact reference the benchmark checks responses against).
     pub fn uncached() -> Self {
         PspConfig {
             cache_budget_bytes: 0,
@@ -278,7 +231,6 @@ pub struct PspServer {
     /// `shards.len() - 1`; shard count is a power of two.
     shard_mask: u64,
     next_id: AtomicU64,
-    next_seq: AtomicU64,
     /// Total stored bytes (image + params across all photos), maintained
     /// incrementally so reading it never walks the maps.
     footprint: AtomicU64,
@@ -286,11 +238,6 @@ pub struct PspServer {
     photo_count: AtomicU64,
     cache: TransformCache,
     memo: DecodeMemo,
-    /// Request-log ring capacity ([`PspConfig::request_log_capacity`]).
-    log_capacity: usize,
-    /// Whether the perceptual-identity layer is on
-    /// ([`PspConfig::signature`]).
-    signature: bool,
     /// The near-duplicate signature index (see [`crate::sig`]).
     index: Mutex<SigIndex>,
     /// Content-addressed signature memo: `content_fnv → Some((sig, w, h))`
@@ -324,22 +271,14 @@ impl PspServer {
             shards: shards.into_boxed_slice(),
             shard_mask: (n - 1) as u64,
             next_id: AtomicU64::new(0),
-            next_seq: AtomicU64::new(0),
             footprint: AtomicU64::new(0),
             photo_count: AtomicU64::new(0),
             cache: TransformCache::new(config.cache_budget_bytes),
             memo: DecodeMemo::new(config.decode_memo_entries),
-            log_capacity: config.request_log_capacity.max(1),
-            signature: config.signature,
             index: Mutex::new(SigIndex::new()),
             sig_memo: Mutex::new(HashMap::new()),
             interner: ByteInterner::default(),
         }
-    }
-
-    /// The request-log ring capacity this server was built with.
-    pub fn request_log_capacity(&self) -> usize {
-        self.log_capacity
     }
 
     fn shard(&self, id: PhotoId) -> &Shard {
@@ -355,34 +294,6 @@ impl PspServer {
             .ok_or(PspError::UnknownPhoto(id))
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn log_request(
-        &self,
-        op: &'static str,
-        id: u64,
-        bytes: u64,
-        start: Instant,
-        ok: bool,
-        cache: CacheOutcome,
-        served: ServedPath,
-    ) {
-        let entry = RequestEntry {
-            op,
-            id,
-            bytes,
-            dur_ns: start.elapsed().as_nanos() as u64,
-            ok,
-            cache,
-            served,
-            seq: self.next_seq.fetch_add(1, Ordering::Relaxed),
-        };
-        let mut log = self.shard(PhotoId(id)).log.lock();
-        if log.len() == self.log_capacity {
-            log.pop_front();
-        }
-        log.push_back(entry);
-    }
-
     /// Publishes the current aggregate storage footprint and photo count as
     /// gauges, when a subscriber is installed.
     fn publish_gauges(&self) {
@@ -392,9 +303,7 @@ impl PspServer {
                 self.footprint.load(Ordering::Relaxed) as i64,
             );
             puppies_obs::gauge_set("psp.photos", self.len() as i64);
-            if self.signature {
-                puppies_obs::gauge_set("psp.sig.index_entries", self.index.lock().len() as i64);
-            }
+            puppies_obs::gauge_set("psp.sig.index_entries", self.index.lock().len() as i64);
         }
     }
 
@@ -406,9 +315,6 @@ impl PspServer {
     /// that does not decode simply stays unindexed — the store accepts
     /// arbitrary bytes and the identity layer is best-effort by design.
     fn index_photo(&self, id: PhotoId, stored: &StoredPhoto) {
-        if !self.signature {
-            return;
-        }
         // The signature is a pure function of `(bytes, params)` —
         // precisely what `content_fnv` addresses — so a re-upload of
         // content the server has already hashed never pays the JPEG
@@ -498,9 +404,7 @@ impl PspServer {
             // Last copy of these bytes is gone — drop the signature memo
             // entry with it so churn workloads don't accumulate hashes of
             // content the store no longer holds.
-            if self.signature {
-                self.sig_memo.lock().remove(&content_key);
-            }
+            self.sig_memo.lock().remove(&content_key);
         }
         self.footprint
             .fetch_sub(old.params.len() as u64, Ordering::Relaxed);
@@ -513,20 +417,10 @@ impl PspServer {
     /// — the allocator saturates instead of wrapping, so a stored photo can
     /// never be silently overwritten by a recycled id.
     pub fn upload(&self, bytes: Vec<u8>, params: Vec<u8>) -> Result<PhotoId> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.upload", "psp");
         let mut cur = self.next_id.load(Ordering::Relaxed);
         let id = loop {
             if cur == u64::MAX {
-                self.log_request(
-                    "upload",
-                    u64::MAX,
-                    0,
-                    start,
-                    false,
-                    CacheOutcome::NotApplicable,
-                    ServedPath::NotApplicable,
-                );
                 return Err(PspError::IdsExhausted);
             }
             match self.next_id.compare_exchange_weak(
@@ -555,7 +449,6 @@ impl PspServer {
         let _ = stored
             .hashes
             .set((bytes_key, fnv64_chain(bytes_key, &stored.params)));
-        let size = stored.size();
         let accounted =
             stored.params.len() as u64 + if fresh { stored.bytes.len() as u64 } else { 0 };
         self.shard(id).photos.write().insert(id, stored.clone());
@@ -564,15 +457,6 @@ impl PspServer {
         self.index_photo(id, &stored);
         puppies_obs::counted!("psp.uploads");
         self.publish_gauges();
-        self.log_request(
-            "upload",
-            id.0,
-            size,
-            start,
-            true,
-            CacheOutcome::NotApplicable,
-            ServedPath::NotApplicable,
-        );
         Ok(id)
     }
 
@@ -581,7 +465,7 @@ impl PspServer {
     /// the WAL). Overwrites any existing entry (a `Transform` WAL record
     /// replays as an overwrite of the `Upload` before it) and advances the
     /// id allocator past `id`, so post-recovery uploads never collide with
-    /// restored photos. Not an API door: it bypasses the request log.
+    /// restored photos. Not an API door: it bypasses the upload counters.
     pub fn restore_photo(&self, id: PhotoId, bytes: Vec<u8>, params: Vec<u8>) {
         let (shared, fresh, bytes_key) = self.interner.intern(bytes.into());
         let stored = Arc::new(StoredPhoto {
@@ -633,20 +517,9 @@ impl PspServer {
     /// # Errors
     /// Fails for unknown photos.
     pub fn download(&self, id: PhotoId) -> Result<Arc<[u8]>> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.download", "psp");
         let out = self.lookup(id).map(|p| p.bytes.clone());
         puppies_obs::counted!("psp.downloads");
-        let bytes = out.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-        self.log_request(
-            "download",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            CacheOutcome::NotApplicable,
-            ServedPath::NotApplicable,
-        );
         out
     }
 
@@ -656,19 +529,7 @@ impl PspServer {
     /// # Errors
     /// Fails for unknown photos.
     pub fn download_params(&self, id: PhotoId) -> Result<Arc<[u8]>> {
-        let start = Instant::now();
-        let out = self.lookup(id).map(|p| p.params.clone());
-        let bytes = out.as_ref().map(|b| b.len() as u64).unwrap_or(0);
-        self.log_request(
-            "download_params",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            CacheOutcome::NotApplicable,
-            ServedPath::NotApplicable,
-        );
-        out
+        self.lookup(id).map(|p| p.params.clone())
     }
 
     /// Runs (or serves from cache) `t` against the stored photo, returning
@@ -701,25 +562,11 @@ impl PspServer {
         id: PhotoId,
         t: &Transformation,
     ) -> Result<(ServedPair, CacheOutcome, ServedPath)> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.download_transformed", "psp");
         let out = self
             .lookup(id)
             .and_then(|stored| self.serve_transform(&stored, t));
         puppies_obs::counted!("psp.transform_serves");
-        let (bytes, outcome, served) = match &out {
-            Ok(((b, p), outcome, served)) => ((b.len() + p.len()) as u64, *outcome, *served),
-            Err(_) => (0, CacheOutcome::NotApplicable, ServedPath::NotApplicable),
-        };
-        self.log_request(
-            "download_transformed",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            outcome,
-            served,
-        );
         out
     }
 
@@ -735,34 +582,16 @@ impl PspServer {
     /// Fails for unknown photos, undecodable streams, or invalid
     /// transformations.
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
-        let start = Instant::now();
         let _span = puppies_obs::span("psp.transform", "psp");
         let out = self.transform_inner(id, t);
         puppies_obs::counted!("psp.transforms");
         self.publish_gauges();
-        let (bytes, outcome, served) = match &out {
-            Ok((b, outcome, served)) => (*b, *outcome, *served),
-            Err(_) => (0, CacheOutcome::NotApplicable, ServedPath::NotApplicable),
-        };
-        self.log_request(
-            "transform",
-            id.0,
-            bytes,
-            start,
-            out.is_ok(),
-            outcome,
-            served,
-        );
-        out.map(|_| ())
+        out
     }
 
-    fn transform_inner(
-        &self,
-        id: PhotoId,
-        t: &Transformation,
-    ) -> Result<(u64, CacheOutcome, ServedPath)> {
+    fn transform_inner(&self, id: PhotoId, t: &Transformation) -> Result<()> {
         let stored = self.lookup(id)?;
-        let ((new_bytes, new_params), outcome, served) = self.serve_transform(&stored, t)?;
+        let ((new_bytes, new_params), _, _) = self.serve_transform(&stored, t)?;
         let (shared, fresh, bytes_key) = self.interner.intern(new_bytes);
         let replacement = Arc::new(StoredPhoto {
             bytes: shared,
@@ -773,7 +602,6 @@ impl PspServer {
         let _ = replacement
             .hashes
             .set((bytes_key, fnv64_chain(bytes_key, &replacement.params)));
-        let new_size = replacement.size();
         let accounted = replacement.params.len() as u64
             + if fresh {
                 replacement.bytes.len() as u64
@@ -820,7 +648,7 @@ impl PspServer {
         self.footprint.fetch_add(accounted, Ordering::Relaxed);
         self.retire_photo(id, &stored);
         self.index_photo(id, &replacement);
-        Ok((new_size, outcome, served))
+        Ok(())
     }
 
     /// The shared serving path: transform-cache lookup, then on a miss the
@@ -965,7 +793,7 @@ impl PspServer {
     }
 
     /// The perceptual signature recorded for a stored photo, or `None`
-    /// when its bytes did not decode (or the signature layer is off).
+    /// when its bytes did not decode.
     ///
     /// # Errors
     /// Fails for unknown photos.
@@ -1007,34 +835,6 @@ impl PspServer {
     /// Live entries in the near-duplicate signature index.
     pub fn sig_index_len(&self) -> usize {
         self.index.lock().len()
-    }
-
-    /// Total candidate entries scanned by index lookups so far — the
-    /// observable `bench psp --dup` uses to demonstrate sublinear search.
-    pub fn sig_index_scanned(&self) -> u64 {
-        self.index.lock().scanned()
-    }
-
-    /// The most recent requests served (oldest first), up to the
-    /// configured [`PspConfig::request_log_capacity`]. Entries are `Copy`,
-    /// the snapshot Vec is preallocated, and each shard's log lock is held
-    /// only for the memcpy out — a diagnostic read never stalls the
-    /// serving path.
-    pub fn recent_requests(&self) -> Vec<RequestEntry> {
-        let mut out: Vec<RequestEntry> = Vec::with_capacity(self.shards.len() * self.log_capacity);
-        for shard in self.shards.iter() {
-            let log = shard.log.lock();
-            out.extend(log.iter().copied());
-        }
-        // Merge shard segments into one timeline. Any globally-recent entry
-        // survives per-shard eviction (an entry is only evicted once
-        // `log_capacity` newer entries hit the *same* shard), so the newest
-        // `log_capacity` overall are always present.
-        out.sort_unstable_by_key(|e| e.seq);
-        if out.len() > self.log_capacity {
-            out.drain(..out.len() - self.log_capacity);
-        }
-        out
     }
 }
 
@@ -1349,70 +1149,6 @@ mod tests {
         assert_eq!(id, PhotoId(8));
     }
 
-    #[test]
-    fn request_log_is_structured_and_bounded() {
-        let server = PspServer::new();
-        let id = server.upload(vec![7u8; 12], vec![0u8; 3]).unwrap();
-        server.download(id).unwrap();
-        let _ = server.download(PhotoId(999));
-        let log = server.recent_requests();
-        assert_eq!(log.len(), 3);
-        assert_eq!((log[0].op, log[0].bytes, log[0].ok), ("upload", 15, true));
-        assert_eq!((log[1].op, log[1].bytes, log[1].ok), ("download", 12, true));
-        assert_eq!((log[2].op, log[2].id, log[2].ok), ("download", 999, false));
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        // Bounded: hammer one door past capacity and check eviction.
-        for _ in 0..(REQUEST_LOG_CAPACITY + 10) {
-            server.download(id).unwrap();
-        }
-        let log = server.recent_requests();
-        assert_eq!(log.len(), REQUEST_LOG_CAPACITY);
-        assert!(log.iter().all(|e| e.op == "download"));
-    }
-
-    #[test]
-    fn request_log_capacity_is_configurable() {
-        let server = PspServer::with_config(PspConfig {
-            request_log_capacity: 8,
-            ..PspConfig::default()
-        });
-        assert_eq!(server.request_log_capacity(), 8);
-        let id = server.upload(vec![1u8; 4], vec![]).unwrap();
-        for _ in 0..40 {
-            server.download(id).unwrap();
-        }
-        let log = server.recent_requests();
-        assert_eq!(log.len(), 8);
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        // A zero request stays usable (clamped to 1).
-        let min = PspServer::with_config(PspConfig {
-            request_log_capacity: 0,
-            ..PspConfig::default()
-        });
-        assert_eq!(min.request_log_capacity(), 1);
-    }
-
-    #[test]
-    fn request_log_records_cache_outcome() {
-        let server = PspServer::new();
-        let (id, _) = upload_test_photo(&server);
-        let t = Transformation::Rotate90;
-        server.download_transformed(id, &t).unwrap();
-        server.download_transformed(id, &t).unwrap();
-        let log = server.recent_requests();
-        let served: Vec<_> = log
-            .iter()
-            .filter(|e| e.op == "download_transformed")
-            .collect();
-        assert_eq!(served.len(), 2);
-        assert_eq!(served[0].cache, CacheOutcome::Miss);
-        assert_eq!(served[1].cache, CacheOutcome::Hit);
-        assert!(log
-            .iter()
-            .filter(|e| e.op == "upload" || e.op == "download")
-            .all(|e| e.cache == CacheOutcome::NotApplicable));
-    }
-
     /// Re-encodes a stored JPEG at `quality` — the "recompressed copy"
     /// that circulates between platforms: different bytes, same picture.
     fn recompress(bytes: &[u8], quality: u8) -> Vec<u8> {
@@ -1441,47 +1177,65 @@ mod tests {
     }
 
     #[test]
-    fn recompressed_duplicate_serves_from_family_cache() {
+    fn recompressed_duplicates_serve_first_views_from_family_cache() {
+        // 12 originals x 4 requantized copies x 3 views = 144 first serves.
         let server = PspServer::new();
-        let (bytes, params) = protected_fixture(3);
-        let a = server.upload(bytes.clone(), params.clone()).unwrap();
-        let b = server
-            .upload(recompress(&bytes, 55), params.clone())
-            .unwrap();
-        assert_eq!(server.sig_index_len(), 2);
-        let t = Transformation::Rotate180;
-        // Warm the family root, then the duplicate's *first* serve is
-        // already a hit — via the signature family key — and returns the
-        // root's exact cached bytes.
-        let (pair_a, oa, sa) = server.download_transformed_traced(a, &t).unwrap();
-        assert_eq!((oa, sa), (CacheOutcome::Miss, ServedPath::CoeffDomain));
-        let (pair_b, ob, sb) = server.download_transformed_traced(b, &t).unwrap();
-        assert_eq!((ob, sb), (CacheOutcome::Hit, ServedPath::SigCached));
-        assert!(Arc::ptr_eq(&pair_a.0, &pair_b.0), "family shares the Arc");
-        assert_eq!(pair_a.1, pair_b.1);
-        // The root itself keeps serving its own entry under the exact key.
-        let (_, oa2, sa2) = server.download_transformed_traced(a, &t).unwrap();
-        assert_eq!((oa2, sa2), (CacheOutcome::Hit, ServedPath::Cached));
-    }
-
-    #[test]
-    fn signature_off_restores_exact_key_only_behaviour() {
-        let server = PspServer::with_config(PspConfig {
-            signature: false,
-            ..PspConfig::default()
-        });
-        let (bytes, params) = protected_fixture(3);
-        let a = server.upload(bytes.clone(), params.clone()).unwrap();
-        let b = server
-            .upload(recompress(&bytes, 55), params.clone())
-            .unwrap();
-        assert_eq!(server.sig_index_len(), 0);
-        assert_eq!(server.signature_of(a).unwrap(), None);
-        let t = Transformation::Rotate180;
-        let (_, oa, _) = server.download_transformed_traced(a, &t).unwrap();
-        let (_, ob, _) = server.download_transformed_traced(b, &t).unwrap();
-        assert_eq!(oa, CacheOutcome::Miss);
-        assert_eq!(ob, CacheOutcome::Miss, "no signature layer, no sharing");
+        let views = [
+            Transformation::Rotate90,
+            Transformation::Rotate180,
+            Transformation::Recompress { quality: 40 },
+        ];
+        let originals: Vec<_> = (1..=12).map(protected_fixture).collect();
+        // Warm every family root: each view is computed once.
+        let mut roots = Vec::new();
+        for (bytes, params) in &originals {
+            let id = server.upload(bytes.clone(), params.clone()).unwrap();
+            let results: Vec<ServedPair> = views
+                .iter()
+                .map(|t| {
+                    let (pair, outcome, served) =
+                        server.download_transformed_traced(id, t).unwrap();
+                    assert_eq!(
+                        (outcome, served),
+                        (CacheOutcome::Miss, ServedPath::CoeffDomain)
+                    );
+                    pair
+                })
+                .collect();
+            roots.push((id, results));
+        }
+        // A copy's *first* serve of every view is already a hit via the
+        // signature family key and returns the root's exact cached bytes.
+        // The copies are byte-distinct, so none can hit the exact key.
+        let mut first_serves = 0;
+        for ((bytes, params), (root, results)) in originals.iter().zip(&roots) {
+            for q in [40, 55, 70, 85] {
+                let copy = recompress(bytes, q);
+                assert_ne!(&copy, bytes);
+                let id = server.upload(copy, params.clone()).unwrap();
+                for (t, root_pair) in views.iter().zip(results) {
+                    let (pair, outcome, served) =
+                        server.download_transformed_traced(id, t).unwrap();
+                    assert_eq!(
+                        (outcome, served),
+                        (CacheOutcome::Hit, ServedPath::SigCached),
+                        "q{q} copy of {root:?} under {t:?}"
+                    );
+                    assert!(Arc::ptr_eq(&pair.0, &root_pair.0), "family shares the Arc");
+                    assert_eq!(pair.1, root_pair.1);
+                    first_serves += 1;
+                }
+            }
+        }
+        assert_eq!(first_serves, 144);
+        assert_eq!(server.sig_index_len(), 60);
+        // Each root keeps serving its own entries under the exact key.
+        for (root, _) in &roots {
+            for t in &views {
+                let (_, outcome, served) = server.download_transformed_traced(*root, t).unwrap();
+                assert_eq!((outcome, served), (CacheOutcome::Hit, ServedPath::Cached));
+            }
+        }
     }
 
     #[test]
@@ -1540,27 +1294,5 @@ mod tests {
         let after = server.signature_of(id).unwrap().unwrap();
         assert_ne!(before, after, "rotation is a different picture");
         assert!(server.search_similar(before, 0, 10).is_empty());
-    }
-
-    #[test]
-    fn request_log_merges_across_shards_in_order() {
-        // Photos land on different shards; the merged log is still one
-        // seq-ordered timeline with the newest entries retained.
-        let server = PspServer::new();
-        let ids: Vec<_> = (0..20)
-            .map(|i| server.upload(vec![i as u8; 8], vec![]).unwrap())
-            .collect();
-        for round in 0..30 {
-            for &id in &ids {
-                let _ = server.download(id);
-                let _ = round;
-            }
-        }
-        let log = server.recent_requests();
-        assert_eq!(log.len(), REQUEST_LOG_CAPACITY);
-        assert!(log.windows(2).all(|w| w[0].seq < w[1].seq));
-        // All retained entries are from the tail of the request stream.
-        let total_requests = 20 + 30 * 20;
-        assert!(log[0].seq >= total_requests - REQUEST_LOG_CAPACITY as u64);
     }
 }

@@ -4,6 +4,7 @@
 
 use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
+use puppies_psp::net::client::{WireCache, WireServed};
 use puppies_psp::net::{Client, ServeConfig, Server};
 use puppies_psp::{KeyAgreement, PspConfig, PspServer};
 use puppies_transform::Transformation;
@@ -87,13 +88,17 @@ fn wire_flow_matches_in_process_byte_for_byte() {
     let ref_id = reference.upload(bytes.clone(), params.clone()).unwrap();
     let t = Transformation::Rotate90;
     let (ref_bytes, ref_params) = reference.download_transformed(ref_id, &t).unwrap();
-    let (net_bytes, net_params, _) = client.download_transformed(receipt.id, &t).unwrap();
+    let (net_bytes, net_params, cache, served) =
+        client.download_transformed_traced(receipt.id, &t).unwrap();
     assert_eq!(net_bytes, ref_bytes.to_vec());
     assert_eq!(net_params, ref_params.to_vec());
+    // A coefficient-eligible view is served without decoding to pixels,
+    // and the wire reports it.
+    assert_eq!((cache, served), (WireCache::Miss, WireServed::CoeffDomain));
 
     // Second identical request is a cache hit on the wire.
-    let (_, _, cache) = client.download_transformed(receipt.id, &t).unwrap();
-    assert_eq!(cache, puppies_psp::net::client::WireCache::Hit);
+    let (_, _, cache, served) = client.download_transformed_traced(receipt.id, &t).unwrap();
+    assert_eq!((cache, served), (WireCache::Hit, WireServed::Cached));
 
     // In-place transform needs the owner token.
     let err = client
