@@ -1,8 +1,11 @@
 //! JPEG codec kernel benchmarks: DCT, quantization, entropy coding and
-//! the full encode/decode paths that every experiment leans on.
+//! the full encode/decode paths that every experiment leans on, plus the
+//! bilinear resampler that PSP scale views and receiver shadow recovery
+//! both run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use puppies_bench::pascal_image;
+use puppies_image::resample::{scale_plane, scale_rgb, Filter};
 use puppies_jpeg::{dct, CoeffImage, EncodeOptions, HuffmanMode, QuantTable};
 
 fn bench_dct(c: &mut Criterion) {
@@ -85,11 +88,30 @@ fn bench_p3_split(c: &mut Criterion) {
     group.finish();
 }
 
+/// A PSP scale view of a 496×328 photo to 89%: the fused RGB8 path the
+/// PSP pixel fallback runs, and the float-plane path the receiver runs on
+/// each shadow plane.
+fn bench_resample(c: &mut Criterion) {
+    let img = pascal_image();
+    let (nw, nh) = (img.width() * 89 / 100, img.height() * 89 / 100);
+    let plane = img.to_ycbcr_planes()[0].clone();
+    let mut group = c.benchmark_group("resample");
+    group.sample_size(20);
+    group.bench_function("scale_rgb_bilinear_pascal_89pct", |b| {
+        b.iter(|| scale_rgb(&img, nw, nh, Filter::Bilinear))
+    });
+    group.bench_function("scale_plane_bilinear_pascal_89pct", |b| {
+        b.iter(|| scale_plane(&plane, nw, nh, Filter::Bilinear))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_dct,
     bench_quant,
     bench_full_codec,
-    bench_p3_split
+    bench_p3_split,
+    bench_resample
 );
 criterion_main!(benches);

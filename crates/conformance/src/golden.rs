@@ -121,7 +121,9 @@ pub fn derive_vectors(img: &RgbImage) -> Vec<(String, Vec<u8>)> {
             .expect("encode transform");
         v.push((format!("t_{tag}.jpg"), out));
     }
-    let pixel_ts: [(&str, Transformation); 2] = [
+    // The two fractional bilinear scales pin the resampler's position
+    // math off the 2:1 grid, where every tap weight is 0.25/0.75.
+    let pixel_ts: [(&str, Transformation); 4] = [
         (
             "scale_half",
             Transformation::Scale {
@@ -133,6 +135,22 @@ pub fn derive_vectors(img: &RgbImage) -> Vec<(String, Vec<u8>)> {
         (
             "gaussian",
             Transformation::Filter(FilterOp::Gaussian { sigma: 1.2 }),
+        ),
+        (
+            "scale_down_37x27",
+            Transformation::Scale {
+                width: 37,
+                height: 27,
+                filter: ScaleFilter::Bilinear,
+            },
+        ),
+        (
+            "scale_up_79x59",
+            Transformation::Scale {
+                width: 79,
+                height: 59,
+                filter: ScaleFilter::Bilinear,
+            },
         ),
     ];
     let z_rgb = z_coeff.to_rgb();

@@ -311,7 +311,7 @@ pub fn ac_perturbation(profile: &PerturbProfile, keys: &RoiKeys, q: &RangeMatrix
 /// block loop and applied with integer lanes. Slot 0 is zero so the DC lane
 /// passes through the vector pass untouched (DC wraps mod 2048, handled
 /// scalar per block).
-fn ac_perturbation_vector(
+pub(crate) fn ac_perturbation_vector(
     profile: &PerturbProfile,
     keys: &RoiKeys,
     q: &RangeMatrix,
@@ -677,29 +677,42 @@ fn validate_roi(coeff: &CoeffImage, rect: Rect, nkeys: usize) -> Result<()> {
     Ok(())
 }
 
-/// The exact additive delta `e − b` (in quantized units, possibly outside
-/// the ring) the perturbation applied to coefficient `i` of block `k`,
-/// reconstructed from the profile, keys and wrap index. This is the value
+/// `WInd` as one natural-order coefficient bitmask per (component,
+/// block): bit `i` of `masks[component * blocks + k]` is set iff
+/// `(component, k, i)` is recorded. Entries outside `ncomp × blocks × 64`
+/// name no coefficient and are dropped.
+pub(crate) fn wrap_masks(wind: &ZeroIndex, ncomp: usize, blocks: usize) -> Vec<u64> {
+    let mut masks = vec![0u64; ncomp * blocks];
+    for e in wind.entries() {
+        let (c, k, i) = (e.component as usize, e.block as usize, e.coeff as usize);
+        if c < ncomp && k < blocks && i < MATRIX_LEN {
+            masks[c * blocks + k] |= 1 << i;
+        }
+    }
+    masks
+}
+
+/// The exact additive deltas `e − b` (in quantized units, possibly outside
+/// the ring) the perturbation applied to every coefficient of block `k`:
+/// `pvec` (the [`ac_perturbation_vector`]) in the AC slots, the block's DC
+/// perturbation in slot 0, and one ring modulus off every coefficient whose
+/// bit is set in `wraps` (the block's [`wrap_masks`] entry). This is what
 /// the shadow-ROI generator needs (see [`crate::shadow`]).
-pub fn effective_delta(
+pub(crate) fn block_deltas(
     profile: &PerturbProfile,
     keys: &RoiKeys,
-    q: &RangeMatrix,
-    wind: &std::collections::HashSet<(u8, u32, u8)>,
-    component: u8,
+    pvec: &[i32; MATRIX_LEN],
     k: u32,
-    i: usize,
-) -> i32 {
-    let (p, modulus) = if i == 0 {
-        (dc_perturbation(profile, keys, k), COEFF_MODULUS)
-    } else {
-        (ac_perturbation(profile, keys, q, i), AC_MODULUS)
-    };
-    if wind.contains(&(component, k, i as u8)) {
-        p - modulus
-    } else {
-        p
+    mut wraps: u64,
+) -> [i32; MATRIX_LEN] {
+    let mut deltas = *pvec;
+    deltas[0] = dc_perturbation(profile, keys, k);
+    while wraps != 0 {
+        let i = wraps.trailing_zeros() as usize;
+        deltas[i] -= if i == 0 { COEFF_MODULUS } else { AC_MODULUS };
+        wraps &= wraps - 1;
     }
+    deltas
 }
 
 #[cfg(test)]
@@ -1023,7 +1036,7 @@ mod tests {
 
     #[test]
     fn wind_makes_deltas_exact() {
-        // For every perturbed coefficient, e == b + effective_delta with no
+        // For every perturbed coefficient, e == b + block_deltas with no
         // modular correction needed.
         let img = test_image();
         let original = CoeffImage::from_rgb(&img, 75);
@@ -1034,17 +1047,19 @@ mod tests {
         let rect = Rect::new(0, 0, 64, 64);
         let record = perturb_roi(&mut perturbed, rect, &keys, &profile).unwrap();
         assert!(!record.wind.is_empty(), "full-range DC must wrap somewhere");
-        let wset = record.wind.to_set();
+        let blocks = original.components()[0].blocks_in_region(rect).len();
+        let wraps = wrap_masks(&record.wind, keys.len(), blocks);
         for (ci, key) in keys.iter().enumerate() {
             let co = &original.components()[ci];
             let cp = &perturbed.components()[ci];
+            let pvec = ac_perturbation_vector(&profile, key, &q);
             let positions = co.blocks_in_region(rect);
             for (k, &(bx, by)) in positions.iter().enumerate() {
+                let d = block_deltas(&profile, key, &pvec, k as u32, wraps[ci * blocks + k]);
                 let bo = co.block(bx, by);
                 let bp = cp.block(bx, by);
                 for i in 0..64 {
-                    let d = effective_delta(&profile, key, &q, &wset, ci as u8, k as u32, i);
-                    assert_eq!(bo[i] + d, bp[i], "comp {ci} block {k} coeff {i}");
+                    assert_eq!(bo[i] + d[i], bp[i], "comp {ci} block {k} coeff {i}");
                 }
             }
         }

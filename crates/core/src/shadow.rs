@@ -42,7 +42,9 @@
 
 use crate::keys::KeyGrant;
 use crate::params::PublicParams;
-use crate::perturb::{dc_perturbation, effective_delta, RoiKeys, Scheme};
+use crate::perturb::{
+    ac_perturbation_vector, block_deltas, dc_perturbation, wrap_masks, RoiKeys, Scheme,
+};
 use crate::{PuppiesError, Result};
 use puppies_image::{Plane, Rect, RgbImage};
 use puppies_jpeg::{dct, CoeffImage, QuantTable, BLOCK_SIZE};
@@ -204,34 +206,43 @@ pub fn shadow_planes(params: &PublicParams, grant: &KeyGrant, ncomp: usize) -> R
     let mut planes: Vec<Plane> = (0..ncomp)
         .map(|_| Plane::new(params.width, params.height))
         .collect();
+    let width = params.width as usize;
     for roi in &params.rois {
         if !grant.covers(params.image_id, roi.index) {
             continue;
         }
         let q = roi.range_matrix();
-        let wset = roi.wind.to_set();
         let blocks_w = roi.rect.w.div_ceil(BLOCK_SIZE);
         let blocks_h = roi.rect.h.div_ceil(BLOCK_SIZE);
+        let blocks = (blocks_w * blocks_h) as usize;
+        let wraps = wrap_masks(&roi.wind, ncomp, blocks);
         for (ci, plane) in planes.iter_mut().enumerate() {
             let keys = RoiKeys::from_grant(grant, params.image_id, roi.index, ci as u8)?;
             let quant = original_table(params.quality, ci);
+            let pvec = ac_perturbation_vector(&roi.profile, &keys, &q);
+            let samples = plane.samples_mut();
             for by in 0..blocks_h {
+                let py = roi.rect.y + by * BLOCK_SIZE;
+                let rows = params.height.saturating_sub(py).min(BLOCK_SIZE) as usize;
                 for bx in 0..blocks_w {
                     let k = by * blocks_w + bx;
-                    let mut pert = [0i32; 64];
-                    for (i, slot) in pert.iter_mut().enumerate() {
-                        *slot = effective_delta(&roi.profile, &keys, &q, &wset, ci as u8, k, i);
-                    }
-                    let raw = quant.dequantize(&pert);
-                    let spatial = dct::inverse(&raw);
-                    for y in 0..BLOCK_SIZE {
-                        for x in 0..BLOCK_SIZE {
-                            let px = roi.rect.x + bx * BLOCK_SIZE + x;
-                            let py = roi.rect.y + by * BLOCK_SIZE + y;
-                            if px < params.width && py < params.height {
-                                plane.set(px, py, spatial[(y * BLOCK_SIZE + x) as usize]);
-                            }
-                        }
+                    let px = roi.rect.x + bx * BLOCK_SIZE;
+                    let cols = params.width.saturating_sub(px).min(BLOCK_SIZE) as usize;
+                    let pert = block_deltas(
+                        &roi.profile,
+                        &keys,
+                        &pvec,
+                        k,
+                        wraps[ci * blocks + k as usize],
+                    );
+                    let spatial = dct::inverse(&quant.dequantize(&pert));
+                    for (r, src) in spatial
+                        .chunks_exact(BLOCK_SIZE as usize)
+                        .take(rows)
+                        .enumerate()
+                    {
+                        let start = (py as usize + r) * width + px as usize;
+                        samples[start..start + cols].copy_from_slice(&src[..cols]);
                     }
                 }
             }
@@ -268,11 +279,8 @@ pub fn recover_pixel_domain(
                 planes[ci].height()
             )));
         }
-        let p = &mut planes[ci];
-        for y in 0..p.height() {
-            for x in 0..p.width() {
-                p.set(x, y, p.get(x, y) - t_shadow.get(x, y));
-            }
+        for (p, s) in planes[ci].samples_mut().iter_mut().zip(t_shadow.samples()) {
+            *p -= s;
         }
     }
     Ok(RgbImage::from_ycbcr_planes(&planes))

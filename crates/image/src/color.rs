@@ -84,18 +84,31 @@ impl YCbCr {
 }
 
 /// Rounds half away from zero and clamps to `0..=255`, producing exactly
-/// `v.round().clamp(0.0, 255.0) as u8` without `f32::round`'s libm call
-/// (which blocks vectorization on the SSE2 baseline).
+/// `v.round().clamp(0.0, 255.0) as u8` in straight-line f32 arithmetic:
+/// no `f32::round` libm call and no saturating float→int cast, either of
+/// which blocks vectorization of loops over it on the SSE2 baseline.
 ///
-/// Clamping before rounding is equivalent here because every input that
-/// rounds outside `[0, 255]` clamps to the same endpoint either way. After
-/// the clamp, `c - trunc(c)` is exact (Sterbenz), so the `>= 0.5` test is
-/// the true round-half-up — which equals round-half-away on nonnegatives.
+/// Why it is exact:
+/// - Clamping before rounding is equivalent, because every input that
+///   rounds outside `[0, 255]` clamps to the same endpoint either way.
+///   NaN fails `v > 0.0` and becomes `0.0`, as the cast maps it to 0.
+/// - For `c` in `[0, 255]`, adding and subtracting 2^23 rounds `c` to an
+///   integer exactly (ties to even), and one compare-and-subtract turns
+///   that into `floor(c)`. `c - floor(c)` is then exact, so `>= 0.5` is
+///   the true round-half-up, which equals round-half-away on nonnegatives.
+/// - The result is an integer in `[0, 255]`; adding 2^23 leaves it in the
+///   low mantissa byte, which the bit-truncating `as u8` extracts.
+///
+/// The `round_clamp_u8_matches_round_then_clamp` test checks every
+/// k/256 in `[-2, 258]`, both neighbours of every half-integer there, and
+/// NaN, ±∞, ±0 and subnormals.
 #[inline]
 pub fn round_clamp_u8(v: f32) -> u8 {
-    let c = v.clamp(0.0, 255.0);
-    let t = c as i32;
-    (t + ((c - t as f32) >= 0.5) as i32) as u8
+    let c = if v > 0.0 { v.min(255.0) } else { 0.0 };
+    let r = (c + 8_388_608.0) - 8_388_608.0;
+    let t = r - ((r > c) as i32 as f32);
+    let q = t + ((c - t >= 0.5) as i32 as f32);
+    (q + 8_388_608.0).to_bits() as u8
 }
 
 /// Converts an RGB color to full-range YCbCr (BT.601 / JFIF).
@@ -543,21 +556,40 @@ mod tests {
             255.5,
             1000.0,
             f32::NAN,
+            -f32::NAN,
             f32::INFINITY,
             f32::NEG_INFINITY,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),           // smallest subnormal
+            f32::from_bits(0x007f_ffff), // largest subnormal
+            -f32::from_bits(1),
+            -f32::from_bits(0x007f_ffff),
+            f32::MAX,
+            f32::MIN,
         ] {
             let want = v.round().clamp(0.0, 255.0) as u8;
             assert_eq!(round_clamp_u8(v), want, "v = {v}");
         }
-        // Sweep a dense grid for the tie-handling region.
-        let mut v = -2.0f32;
-        while v < 258.0 {
-            assert_eq!(
-                round_clamp_u8(v),
-                v.round().clamp(0.0, 255.0) as u8,
-                "v = {v}"
-            );
-            v += 0.0625;
+        let check = |v: f32| {
+            let want = v.round().clamp(0.0, 255.0) as u8;
+            assert_eq!(round_clamp_u8(v), want, "v = {v:e} ({:#010x})", v.to_bits());
+        };
+        // Every k/256 in [-2, 258]; all are exact in f32.
+        for k in -512..=258 * 256 {
+            check(k as f32 / 256.0);
+        }
+        // Every half-integer in that range and both its float neighbours,
+        // where tie handling shows. Adjacent bit patterns are the
+        // neighbours for either sign.
+        for k in -5..=517 {
+            let half = k as f32 / 2.0;
+            if half.fract() != 0.0 {
+                check(half);
+                check(f32::from_bits(half.to_bits() - 1));
+                check(f32::from_bits(half.to_bits() + 1));
+            }
         }
     }
 

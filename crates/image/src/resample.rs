@@ -7,7 +7,7 @@
 //! on.
 
 use crate::buffer::{GrayImage, Plane, RgbImage};
-use crate::color::Rgb;
+use crate::color::{round_clamp_u8, Rgb};
 
 /// Resampling filter selection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -28,6 +28,20 @@ pub enum Filter {
 /// Panics if either target dimension is zero.
 pub fn scale_rgb(src: &RgbImage, nw: u32, nh: u32, filter: Filter) -> RgbImage {
     assert!(nw > 0 && nh > 0, "target dimensions must be nonzero");
+    if filter == Filter::Bilinear {
+        // Straight from interleaved RGB8 to RGB8: the same samples the
+        // split/scale/merge route would produce, without its six planes.
+        let mut out = RgbImage::new(nw, nh);
+        scale_bilinear(
+            src.pixels(),
+            src.width(),
+            src.height(),
+            out.pixels_mut(),
+            nw,
+            nh,
+        );
+        return out;
+    }
     let planes = split_channels(src);
     let scaled = planes.map(|p| scale_plane(&p, nw, nh, filter));
     merge_channels(&scaled)
@@ -51,7 +65,18 @@ pub fn scale_plane(src: &Plane, nw: u32, nh: u32, filter: Filter) -> Plane {
     assert!(nw > 0 && nh > 0, "target dimensions must be nonzero");
     match filter {
         Filter::Nearest => scale_nearest(src, nw, nh),
-        Filter::Bilinear => scale_bilinear(src, nw, nh),
+        Filter::Bilinear => {
+            let mut out = Plane::new(nw, nh);
+            scale_bilinear(
+                src.samples(),
+                src.width(),
+                src.height(),
+                out.samples_mut(),
+                nw,
+                nh,
+            );
+            out
+        }
         Filter::Box => scale_box(src, nw, nh),
     }
 }
@@ -65,27 +90,143 @@ fn scale_nearest(src: &Plane, nw: u32, nh: u32) -> Plane {
     })
 }
 
-fn scale_bilinear(src: &Plane, nw: u32, nh: u32) -> Plane {
-    let (w, h) = (src.width() as f64, src.height() as f64);
-    let sx = w / nw as f64;
-    let sy = h / nh as f64;
-    Plane::from_fn(nw, nh, |x, y| {
-        // Pixel-center convention.
-        let fx = (x as f64 + 0.5) * sx - 0.5;
-        let fy = (y as f64 + 0.5) * sy - 0.5;
-        let x0 = fx.floor();
-        let y0 = fy.floor();
-        let tx = (fx - x0) as f32;
-        let ty = (fy - y0) as f32;
-        let (x0, y0) = (x0 as i64, y0 as i64);
-        let p00 = src.get_clamped(x0, y0);
-        let p10 = src.get_clamped(x0 + 1, y0);
-        let p01 = src.get_clamped(x0, y0 + 1);
-        let p11 = src.get_clamped(x0 + 1, y0 + 1);
-        let top = p00 + (p10 - p00) * tx;
-        let bot = p01 + (p11 - p01) * tx;
-        top + (bot - top) * ty
-    })
+/// One output coordinate's bilinear taps along an axis: the two
+/// border-clamped source indices and the weight of the second.
+#[derive(Debug, Clone, Copy)]
+struct Tap {
+    i0: usize,
+    i1: usize,
+    t: f32,
+}
+
+/// Pixel-center taps for resampling an axis of `src_len` samples to
+/// `dst_len`: position `(d + 0.5) · src_len/dst_len − 0.5`, split into its
+/// floor and fraction in f64, the fraction narrowed to f32 once.
+fn bilinear_taps(src_len: u32, dst_len: u32) -> Vec<Tap> {
+    let scale = src_len as f64 / dst_len as f64;
+    let last = src_len as i64 - 1;
+    (0..dst_len)
+        .map(|d| {
+            let f = (d as f64 + 0.5) * scale - 0.5;
+            let f0 = f.floor();
+            let i0 = f0 as i64;
+            Tap {
+                i0: i0.clamp(0, last) as usize,
+                i1: (i0 + 1).clamp(0, last) as usize,
+                t: (f - f0) as f32,
+            }
+        })
+        .collect()
+}
+
+/// A pixel the bilinear kernel reads and writes: `LANES` channels, each
+/// interpolated in f32 and stored as a `Lane`.
+trait Texel: Copy {
+    /// One stored channel value.
+    type Lane: Copy + Default;
+    const LANES: usize;
+    /// Writes `a + (b - a) * t` per channel into `out` (`LANES` long).
+    fn lerp_into(a: Self, b: Self, t: f32, out: &mut [f32]);
+    /// Narrows an interpolated channel value to its stored form.
+    fn lane(v: f32) -> Self::Lane;
+    /// Packs a row of interleaved lanes into pixels.
+    fn store_row(lanes: &[Self::Lane], out: &mut [Self]);
+}
+
+impl Texel for f32 {
+    type Lane = f32;
+    const LANES: usize = 1;
+
+    #[inline(always)]
+    fn lerp_into(a: f32, b: f32, t: f32, out: &mut [f32]) {
+        out[0] = a + (b - a) * t;
+    }
+
+    #[inline(always)]
+    fn lane(v: f32) -> f32 {
+        v
+    }
+
+    #[inline(always)]
+    fn store_row(lanes: &[f32], out: &mut [f32]) {
+        out.copy_from_slice(lanes);
+    }
+}
+
+impl Texel for Rgb {
+    type Lane = u8;
+    const LANES: usize = 3;
+
+    #[inline(always)]
+    fn lerp_into(a: Rgb, b: Rgb, t: f32, out: &mut [f32]) {
+        let lerp = |a: u8, b: u8| a as f32 + (b as f32 - a as f32) * t;
+        out[0] = lerp(a.r, b.r);
+        out[1] = lerp(a.g, b.g);
+        out[2] = lerp(a.b, b.b);
+    }
+
+    /// The same byte as `v.round().clamp(0.0, 255.0) as u8`, without the
+    /// libm call, so the row loop vectorizes.
+    #[inline(always)]
+    fn lane(v: f32) -> u8 {
+        round_clamp_u8(v)
+    }
+
+    #[inline(always)]
+    fn store_row(lanes: &[u8], out: &mut [Rgb]) {
+        for (o, c) in out.iter_mut().zip(lanes.chunks_exact(3)) {
+            *o = Rgb::new(c[0], c[1], c[2]);
+        }
+    }
+}
+
+/// The one bilinear kernel (pixel-center convention, replicated borders),
+/// for float planes and interleaved RGB alike. `src` is `w × h` and `dst`
+/// is `nw × nh`, both row-major.
+///
+/// Row-streaming: each column's and each row's taps are computed once;
+/// each needed source row is interpolated horizontally once into one of
+/// two row buffers (the pair slides down the image, so an upscale reuses
+/// a source row for every output row between it and the next); each
+/// output row is `top + (bot - top) · ty` over the pair. Per sample this
+/// is the same f64 position math and the same f32 operations in the same
+/// order as the per-pixel form
+/// `top = p00 + (p10 − p00)·tx; bot = p01 + (p11 − p01)·tx;
+/// top + (bot − top)·ty`, and Rust never contracts them into FMAs, so the
+/// output is bit-identical to it.
+fn scale_bilinear<P: Texel>(src: &[P], w: u32, h: u32, dst: &mut [P], nw: u32, nh: u32) {
+    let xs = bilinear_taps(w, nw);
+    let ys = bilinear_taps(h, nh);
+    let w = w as usize;
+    let lerp_row = |sy: usize, out: &mut [f32]| {
+        let row = &src[sy * w..(sy + 1) * w];
+        for (o, tap) in out.chunks_exact_mut(P::LANES).zip(&xs) {
+            P::lerp_into(row[tap.i0], row[tap.i1], tap.t, o);
+        }
+    };
+    let row_len = xs.len() * P::LANES;
+    let (mut top, mut bot) = (vec![0.0f32; row_len], vec![0.0f32; row_len]);
+    let mut lanes = vec![P::Lane::default(); row_len];
+    let (mut top_y, mut bot_y) = (usize::MAX, usize::MAX);
+    for (dst_row, tap) in dst.chunks_exact_mut(xs.len()).zip(&ys) {
+        if top_y != tap.i0 {
+            if bot_y == tap.i0 {
+                std::mem::swap(&mut top, &mut bot);
+                std::mem::swap(&mut top_y, &mut bot_y);
+            } else {
+                lerp_row(tap.i0, &mut top);
+                top_y = tap.i0;
+            }
+        }
+        if bot_y != tap.i1 {
+            lerp_row(tap.i1, &mut bot);
+            bot_y = tap.i1;
+        }
+        for (l, (&t, &b)) in lanes.iter_mut().zip(top.iter().zip(&bot)) {
+            *l = P::lane(t + (b - t) * tap.t);
+        }
+        P::store_row(&lanes, dst_row);
+    }
 }
 
 fn scale_box(src: &Plane, nw: u32, nh: u32) -> Plane {
@@ -190,20 +331,18 @@ pub fn rotate_arbitrary(src: &RgbImage, angle: f64, fill: Rgb) -> RgbImage {
 
 /// Splits an RGB image into three float planes (R, G, B order).
 pub fn split_channels(src: &RgbImage) -> [Plane; 3] {
-    let mut planes = [
-        Plane::new(src.width(), src.height()),
-        Plane::new(src.width(), src.height()),
-        Plane::new(src.width(), src.height()),
+    let n = src.pixels().len();
+    let mut chans = [
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
+        Vec::with_capacity(n),
     ];
-    for y in 0..src.height() {
-        for x in 0..src.width() {
-            let c = src.get(x, y);
-            planes[0].set(x, y, c.r as f32);
-            planes[1].set(x, y, c.g as f32);
-            planes[2].set(x, y, c.b as f32);
-        }
+    for c in src.pixels() {
+        chans[0].push(c.r as f32);
+        chans[1].push(c.g as f32);
+        chans[2].push(c.b as f32);
     }
-    planes
+    chans.map(|data| Plane::from_raw(src.width(), src.height(), data))
 }
 
 /// Merges three float planes (R, G, B) back into an RGB image with rounding
@@ -217,18 +356,118 @@ pub fn merge_channels(planes: &[Plane; 3]) -> RgbImage {
         planes.iter().all(|p| p.width() == w && p.height() == h),
         "plane sizes differ"
     );
-    RgbImage::from_fn(w, h, |x, y| {
-        Rgb::new(
-            planes[0].get(x, y).round().clamp(0.0, 255.0) as u8,
-            planes[1].get(x, y).round().clamp(0.0, 255.0) as u8,
-            planes[2].get(x, y).round().clamp(0.0, 255.0) as u8,
-        )
-    })
+    let mut out = RgbImage::new(w, h);
+    let (r, g, b) = (
+        planes[0].samples(),
+        planes[1].samples(),
+        planes[2].samples(),
+    );
+    for (o, ((&r, &g), &b)) in out.pixels_mut().iter_mut().zip(r.iter().zip(g).zip(b)) {
+        *o = Rgb::new(round_clamp_u8(r), round_clamp_u8(g), round_clamp_u8(b));
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The per-pixel bilinear kernel the row-streaming one replaced, kept
+    /// verbatim as the reference it must match bit for bit.
+    fn scale_bilinear_reference(src: &Plane, nw: u32, nh: u32) -> Plane {
+        let (w, h) = (src.width() as f64, src.height() as f64);
+        let sx = w / nw as f64;
+        let sy = h / nh as f64;
+        Plane::from_fn(nw, nh, |x, y| {
+            // Pixel-center convention.
+            let fx = (x as f64 + 0.5) * sx - 0.5;
+            let fy = (y as f64 + 0.5) * sy - 0.5;
+            let x0 = fx.floor();
+            let y0 = fy.floor();
+            let tx = (fx - x0) as f32;
+            let ty = (fy - y0) as f32;
+            let (x0, y0) = (x0 as i64, y0 as i64);
+            let p00 = src.get_clamped(x0, y0);
+            let p10 = src.get_clamped(x0 + 1, y0);
+            let p01 = src.get_clamped(x0, y0 + 1);
+            let p11 = src.get_clamped(x0 + 1, y0 + 1);
+            let top = p00 + (p10 - p00) * tx;
+            let bot = p01 + (p11 - p01) * tx;
+            top + (bot - top) * ty
+        })
+    }
+
+    /// The RGB route the fused path replaced: split, scale each plane
+    /// with the reference kernel, round with `f32::round`.
+    fn scale_rgb_bilinear_reference(src: &RgbImage, nw: u32, nh: u32) -> RgbImage {
+        let planes = split_channels(src).map(|p| scale_bilinear_reference(&p, nw, nh));
+        let byte = |v: f32| v.round().clamp(0.0, 255.0) as u8;
+        RgbImage::from_fn(nw, nh, |x, y| {
+            Rgb::new(
+                byte(planes[0].get(x, y)),
+                byte(planes[1].get(x, y)),
+                byte(planes[2].get(x, y)),
+            )
+        })
+    }
+
+    /// A source size, its target size and a content seed. Targets cover
+    /// identity, ×4 up, ÷7 down and arbitrary (mostly non-integer) ratios;
+    /// sources start at 1 pixel so the clamped borders meet on both sides.
+    fn arb_scale() -> impl Strategy<Value = (u32, u32, u32, u32, u64)> {
+        (1u32..72, 1u32..72, 0u8..4, 1u32..97, 1u32..97, any::<u64>()).prop_map(
+            |(w, h, kind, rw, rh, seed)| {
+                let (nw, nh) = match kind {
+                    0 => (w, h),
+                    1 => (4 * w, 4 * h),
+                    2 => ((w / 7).max(1), (h / 7).max(1)),
+                    _ => (rw, rh),
+                };
+                (w, h, nw, nh, seed)
+            },
+        )
+    }
+
+    fn xorshift(mut s: u64) -> impl FnMut() -> u64 {
+        s |= 1;
+        move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 256 }))]
+
+        #[test]
+        fn bilinear_plane_is_bit_identical_to_reference(case in arb_scale()) {
+            let (w, h, nw, nh, seed) = case;
+            // Signed, fractional samples like a shadow plane's.
+            let mut rng = xorshift(seed);
+            let src = Plane::from_fn(w, h, |_, _| (rng() % 200_001) as f32 / 256.0 - 390.0);
+            let got = scale_plane(&src, nw, nh, Filter::Bilinear);
+            let want = scale_bilinear_reference(&src, nw, nh);
+            prop_assert_eq!((got.width(), got.height()), (nw, nh));
+            for (i, (g, r)) in got.samples().iter().zip(want.samples()).enumerate() {
+                prop_assert_eq!(g.to_bits(), r.to_bits(), "sample {} ({}x{} -> {}x{})", i, w, h, nw, nh);
+            }
+        }
+
+        #[test]
+        fn bilinear_rgb_is_byte_identical_to_reference(case in arb_scale()) {
+            let (w, h, nw, nh, seed) = case;
+            let mut rng = xorshift(seed);
+            let src = RgbImage::from_fn(w, h, |_, _| {
+                let v = rng();
+                Rgb::new(v as u8, (v >> 8) as u8, (v >> 16) as u8)
+            });
+            let got = scale_rgb(&src, nw, nh, Filter::Bilinear);
+            prop_assert_eq!(got, scale_rgb_bilinear_reference(&src, nw, nh));
+        }
+    }
 
     fn gradient(w: u32, h: u32) -> RgbImage {
         RgbImage::from_fn(w, h, |x, y| {

@@ -332,8 +332,9 @@ impl Component {
     /// Replaces the quantization table by requantizing every block, the
     /// coefficient-domain "compression" transformation.
     pub fn requantize(&mut self, coarser: QuantTable) {
+        let requantizer = self.quant.requantizer(&coarser);
         for b in &mut self.blocks {
-            let mut nb = self.quant.requantize_to(b, &coarser);
+            let mut nb = requantizer.apply(b);
             clamp_block(&mut nb);
             *b = nb;
         }

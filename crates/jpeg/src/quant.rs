@@ -132,19 +132,65 @@ impl QuantTable {
 
     /// Requantizes coefficients from this table to a `coarser` one, the
     /// coefficient-domain equivalent of JPEG recompression (the paper's
-    /// "compression" transformation, §IV-C.2).
+    /// "compression" transformation, §IV-C.2): `round(q · step / coarser
+    /// step)` per coefficient, half away from zero, computed exactly by a
+    /// reciprocal multiply (see `Requantizer`, which
+    /// [`crate::Component::requantize`] builds once per component).
     pub fn requantize_to(&self, q: &[i32; 64], coarser: &QuantTable) -> [i32; 64] {
+        self.requantizer(coarser).apply(q)
+    }
+
+    /// Precomputes the requantization from this table to `coarser`.
+    pub(crate) fn requantizer(&self, coarser: &QuantTable) -> Requantizer {
+        let mut r = Requantizer {
+            fine: [0; 64],
+            step: [0; 64],
+            recip: [0; 64],
+            exact_below: [0; 64],
+        };
+        for i in 0..64 {
+            r.fine[i] = self.steps[i] as u64;
+            r.step[i] = coarser.steps[i] as u64;
+            r.recip[i] = (1u64 << 32) / r.step[i] + 1;
+            r.exact_below[i] = (1u64 << 32) / r.step[i];
+        }
+        r
+    }
+}
+
+/// Requantization between two tables with each output step's reciprocal
+/// precomputed, so a block costs multiplies instead of 64 divisions.
+///
+/// Each coefficient becomes `round(q · fine / step)`, rounding half away
+/// from zero (matching [`QuantTable::quantize`] on exact values). The
+/// division of the numerator `n = |q|·fine + ⌊step/2⌋` by `step` is a
+/// multiply by `m = ⌊2^32/step⌋ + 1`: `m` overshoots `2^32/step` by
+/// `e/step` with `0 < e ≤ step`, so `n·m/2^32 = n/step + n·e/(step·2^32)`,
+/// and while `n·step < 2^32` the excess stays below the `1/step` gap to
+/// the next integer, so the floor is exact. Baseline steps (≤ 255) put that
+/// bound above 2^24, and every coefficient in `COEFF_MIN..=COEFF_MAX` keeps
+/// `n` under 2^18; larger numerators fall back to the division.
+#[derive(Debug, Clone)]
+pub(crate) struct Requantizer {
+    fine: [u64; 64],
+    step: [u64; 64],
+    recip: [u64; 64],
+    /// `⌊2^32/step⌋`: numerators below it take the reciprocal.
+    exact_below: [u64; 64],
+}
+
+impl Requantizer {
+    /// Requantizes one block (row-major).
+    pub(crate) fn apply(&self, q: &[i32; 64]) -> [i32; 64] {
         let mut out = [0i32; 64];
         for i in 0..64 {
-            let raw = q[i] as i64 * self.steps[i] as i64;
-            let step = coarser.steps[i] as i64;
-            // Round half away from zero, matching quantize() on exact values.
-            let v = if raw >= 0 {
-                (raw + step / 2) / step
+            let n = q[i].unsigned_abs() as u64 * self.fine[i] + self.step[i] / 2;
+            let v = if n < self.exact_below[i] {
+                (n * self.recip[i]) >> 32
             } else {
-                (raw - step / 2) / step
-            };
-            out[i] = v as i32;
+                n / self.step[i]
+            } as i32;
+            out[i] = if q[i] < 0 { v.wrapping_neg() } else { v };
         }
         out
     }
@@ -543,6 +589,79 @@ mod tests {
         let re = fine.requantize_to(&q, &coarse);
         let direct = coarse.quantize(&fine.dequantize(&q));
         assert_eq!(re, direct);
+    }
+
+    /// The per-coefficient i64 division `requantize_to` used before the
+    /// reciprocal, kept as the reference it must match exactly.
+    fn requantize_reference(fine: u16, coarse: u16, q: i32) -> i32 {
+        let raw = q as i64 * fine as i64;
+        let step = coarse as i64;
+        let v = if raw >= 0 {
+            (raw + step / 2) / step
+        } else {
+            (raw - step / 2) / step
+        };
+        v as i32
+    }
+
+    #[test]
+    fn requantizer_matches_division_on_every_annex_k_step_pair() {
+        // Every (fine, coarse) step pair that one position of the Annex K
+        // luma or chroma table takes across qualities 1..=100, over every
+        // coefficient value a block can hold.
+        let mut pairs = std::collections::BTreeSet::new();
+        for base in [&ANNEX_K_LUMA, &ANNEX_K_CHROMA] {
+            for i in 0..64 {
+                let steps: std::collections::BTreeSet<u16> = (1..=100u8)
+                    .map(|q| QuantTable::scaled(base, q).steps()[i])
+                    .collect();
+                for &a in &steps {
+                    for &b in &steps {
+                        pairs.insert((a, b));
+                    }
+                }
+            }
+        }
+        assert!(pairs.len() > 50_000, "{} pairs", pairs.len());
+        let blocks: Vec<[i32; 64]> = (crate::COEFF_MIN..=crate::COEFF_MAX)
+            .collect::<Vec<i32>>()
+            .chunks_exact(64)
+            .map(|c| c.try_into().unwrap())
+            .collect();
+        for (a, b) in pairs {
+            let r = QuantTable::new([a; 64]).requantizer(&QuantTable::new([b; 64]));
+            for block in &blocks {
+                let want = block.map(|q| requantize_reference(a, b, q));
+                assert_eq!(r.apply(block), want, "{block:?} from step {a} to {b}");
+            }
+        }
+        // Past the reciprocal's exact range (huge coefficients, or 16-bit
+        // steps) the division takes over.
+        let mut q = [0i32; 64];
+        for (i, v) in q.iter_mut().enumerate().take(61) {
+            *v = [1, -1][i % 2] * (1 << (i / 2)) + [0, 1, -1][i % 3];
+        }
+        // Step 65,535 from step 1: the numerator sits just below a multiple
+        // of the step, under 2^24 but past 2^32/step, where a reciprocal
+        // floors one too high.
+        q[61] = 255 * 65_535 + 32_767;
+        q[62] = i32::MAX;
+        q[63] = i32::MIN;
+        for (a, b) in [
+            (255, 3),
+            (7, 60_000),
+            (65_535, 65_535),
+            (1, 65_535),
+            (65_535, 1),
+        ] {
+            let got = QuantTable::new([a; 64])
+                .requantizer(&QuantTable::new([b; 64]))
+                .apply(&q);
+            for i in 0..64 {
+                let want = requantize_reference(a, b, q[i]);
+                assert_eq!(got[i], want, "{} from step {a} to {b}", q[i]);
+            }
+        }
     }
 
     fn sample_block(seed: u32) -> [f32; 64] {

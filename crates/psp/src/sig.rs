@@ -22,13 +22,16 @@
 //! survive recompression: requantizing moves each by at most half a step.
 //!
 //! [`SigIndex`] is the search side: a multi-index Hamming table over the
-//! four 16-bit signature bands. A candidate within Hamming distance 3 is
-//! *guaranteed* to collide on at least one band (pigeonhole over 4 bands
-//! × 64 bits); larger thresholds still find virtually all neighbours
-//! because flipped bits rarely spread across all four bands. Each probe
-//! touches 4 buckets of expected size `n / 65536`, so lookups stay
-//! sublinear in the store size — the `lookups_scan_sublinearly` test
-//! holds the scanned-candidate growth from 1k to 100k entries at ≤25×.
+//! four 16-bit signature bands. A lookup probes only each band's exact
+//! value, so recall is *guaranteed* only to Hamming distance 3
+//! (pigeonhole: ≤3 differing bits leave at least one of 4 bands
+//! untouched). At distances 4–6 a neighbour is found iff its differing
+//! bits miss at least one band; uniformly placed differences touch all
+//! four bands — and are missed — about 10% / 26% / 42% of the time at
+//! distance 4 / 5 / 6. Each probe touches 4 buckets of expected size
+//! `n / 65536`, so lookups stay sublinear in the store size — the
+//! `lookups_scan_sublinearly` test holds the scanned-candidate growth from
+//! 1k to 100k entries at ≤25×.
 
 use crate::store::PhotoId;
 use puppies_image::Rect;
@@ -40,6 +43,11 @@ use std::collections::HashMap;
 /// Hamming threshold under which two signatures are treated as the same
 /// photo (recompressed / re-encoded copies land well under this; distinct
 /// photos land far above — see the conformance `identity` suite).
+///
+/// This bounds the *verified* distance, not the index's recall:
+/// [`SigIndex::lookup`] finds every entry only up to distance 3, and an
+/// entry at distance 4–6 whose differing bits touch all four bands is
+/// missed (see the module docs).
 pub const NEAR_DUP_DISTANCE: u32 = 6;
 
 /// Computes the 64-bit perceptual signature of a coefficient image from
@@ -198,9 +206,13 @@ impl SigIndex {
         }
     }
 
-    /// All live entries within `max_dist` of `sig`, sorted by
-    /// `(distance, photo id)`. Probes one bucket per band and verifies
-    /// the real Hamming distance on every distinct candidate.
+    /// Live entries within `max_dist` of `sig`, sorted by
+    /// `(distance, photo id)`. Probes one bucket per band (the band's exact
+    /// value) and verifies the real Hamming distance on every distinct
+    /// candidate, so only entries sharing at least one whole band with
+    /// `sig` are seen. Every entry within distance 3 qualifies; beyond
+    /// that, an entry whose differing bits touch all four bands is missed
+    /// even when it is within `max_dist`.
     pub fn lookup(&mut self, sig: u64, max_dist: u32) -> Vec<SigMatch> {
         let mut candidates: Vec<u32> = Vec::new();
         for (map, band) in self.buckets.iter().zip(bands(sig)) {
@@ -333,6 +345,38 @@ mod tests {
         idx.insert(entry(base, 1));
         for bits in [0u64, 1 << 0, 1 << 0 | 1 << 17, 1 << 0 | 1 << 17 | 1 << 34] {
             assert_eq!(idx.lookup(base ^ bits, 3).len(), 1, "bits {bits:#x}");
+        }
+    }
+
+    #[test]
+    fn recall_beyond_distance_three_depends_on_band_spread() {
+        // Probing exact band values only: 4–6 differing bits spread so
+        // every band holds at least one are missed, while the same number
+        // of bits packed into one band still collide on the other three.
+        let mut idx = SigIndex::new();
+        let base = 0x0123_4567_89AB_CDEFu64;
+        idx.insert(entry(base, 1));
+        let spread: [u64; 3] = [
+            1 << 0 | 1 << 17 | 1 << 34 | 1 << 51,
+            1 << 0 | 1 << 1 | 1 << 17 | 1 << 34 | 1 << 51,
+            1 << 0 | 1 << 1 | 1 << 17 | 1 << 18 | 1 << 34 | 1 << 51,
+        ];
+        for bits in spread {
+            let d = bits.count_ones();
+            assert!((4..=6).contains(&d));
+            assert!(d <= NEAR_DUP_DISTANCE);
+            assert!(
+                idx.lookup(base ^ bits, NEAR_DUP_DISTANCE).is_empty(),
+                "bits {bits:#x}"
+            );
+        }
+        for d in 4..=6u32 {
+            for band in 0..4 {
+                let bits = ((1u64 << d) - 1) << (16 * band + 3);
+                let hits = idx.lookup(base ^ bits, NEAR_DUP_DISTANCE);
+                assert_eq!(hits.len(), 1, "{d} bits in band {band}");
+                assert_eq!(hits[0].distance, d);
+            }
         }
     }
 
