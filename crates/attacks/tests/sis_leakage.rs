@@ -13,7 +13,6 @@ use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{GrayImage, Rect, Rgb, RgbImage};
 use puppies_psp::cluster::shamir;
 use puppies_psp::cluster::{ClusterConfig, ShardedPspCluster};
-use puppies_psp::PspConfig;
 
 const N: usize = 5;
 const K: usize = 3;
@@ -35,9 +34,7 @@ fn shared_upload() -> (ShardedPspCluster, puppies_psp::ClusterPhotoId, RgbImage)
     let opts = ProtectOptions::default().with_image_id(1);
     let protected = protect(&img, &[Rect::new(24, 16, 32, 32)], &key, &opts).unwrap();
     let grant = key.grant_rois(1, &[0]);
-    let mut cfg = ClusterConfig::new(N, K).with_seed([0xEE; 32]);
-    cfg.backend = PspConfig::uncached();
-    let cluster = ShardedPspCluster::new(cfg).unwrap();
+    let cluster = ShardedPspCluster::new(ClusterConfig::new(N, K).with_seed([0xEE; 32])).unwrap();
     let id = cluster
         .upload(protected.bytes, protected.params.to_bytes(), &grant)
         .unwrap();

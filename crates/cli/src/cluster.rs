@@ -14,7 +14,7 @@
 
 use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
-use puppies_psp::{ClusterConfig, ClusterPhotoId, Fault, PspConfig, ShardedPspCluster};
+use puppies_psp::{ClusterConfig, ClusterPhotoId, Fault, ShardedPspCluster};
 
 pub fn cmd(args: &[String]) -> Result<(), String> {
     match crate::positionals(args).first() {
@@ -65,9 +65,7 @@ fn demo(args: &[String]) -> Result<(), String> {
     let kills = parse_backends(args, "--kill", n)?;
     let corrupts = parse_backends(args, "--corrupt", n)?;
 
-    let mut cfg = ClusterConfig::new(n, k);
-    cfg.backend = PspConfig::uncached();
-    let cluster = ShardedPspCluster::new(cfg).map_err(|e| e.to_string())?;
+    let cluster = ShardedPspCluster::new(ClusterConfig::new(n, k)).map_err(|e| e.to_string())?;
     println!("cluster: {n} backends, any {k} reconstruct");
 
     // Upload while everything is healthy; remember what must come back.

@@ -84,8 +84,7 @@ pub fn run_cluster() -> Report {
             };
             let grant = key.grant_rois(1, &[0]);
 
-            let mut cfg = ClusterConfig::new(n, k).with_seed([0xD1; 32]);
-            cfg.backend = PspConfig::uncached();
+            let cfg = ClusterConfig::new(n, k).with_seed([0xD1; 32]);
             let cluster = ShardedPspCluster::new(cfg).expect("grid shapes are valid");
             let id = match cluster.upload(
                 protected.bytes.clone(),

@@ -5,6 +5,7 @@
 //! Both formats are emitted and parsed by hand — the workspace has no
 //! serde, and both schemas are small and ours.
 
+use crate::hist::HistogramSnapshot;
 use crate::metrics::{HistStats, MetricRegistry, MetricsSnapshot};
 use crate::span::SpanRecord;
 use std::fmt::Write as _;
@@ -345,18 +346,26 @@ pub fn prometheus_text(reg: &MetricRegistry) -> String {
         let Some(h) = reg.histogram(name) else {
             continue;
         };
-        let cum = h.cumulative();
-        let pname = prometheus_name(name);
-        let _ = writeln!(out, "# HELP {pname} {}", escape_prom_help(name));
-        let _ = writeln!(out, "# TYPE {pname} histogram");
-        for &(le, c) in &cum.buckets {
-            let _ = writeln!(out, "{pname}_bucket{{le=\"{le}\"}} {c}");
-        }
-        let _ = writeln!(out, "{pname}_bucket{{le=\"+Inf\"}} {}", cum.count);
-        let _ = writeln!(out, "{pname}_sum {}", cum.sum);
-        let _ = writeln!(out, "{pname}_count {}", cum.count);
+        prometheus_histogram(&mut out, name, &h.cumulative());
     }
     out
+}
+
+/// Appends one histogram family in the Prometheus text format, as
+/// [`prometheus_text`] renders each registry histogram: `# HELP` with the
+/// dotted `name` (escaped), `# TYPE`, the occupied cumulative `le`
+/// buckets, `+Inf`, `_sum` and `_count`. Exported so a histogram kept
+/// outside the registry renders byte-identically.
+pub fn prometheus_histogram(out: &mut String, name: &str, cum: &HistogramSnapshot) {
+    let pname = prometheus_name(name);
+    let _ = writeln!(out, "# HELP {pname} {}", escape_prom_help(name));
+    let _ = writeln!(out, "# TYPE {pname} histogram");
+    for &(le, c) in &cum.buckets {
+        let _ = writeln!(out, "{pname}_bucket{{le=\"{le}\"}} {c}");
+    }
+    let _ = writeln!(out, "{pname}_bucket{{le=\"+Inf\"}} {}", cum.count);
+    let _ = writeln!(out, "{pname}_sum {}", cum.sum);
+    let _ = writeln!(out, "{pname}_count {}", cum.count);
 }
 
 /// Renders a snapshot as the human-readable table `puppies stats` prints.
@@ -521,6 +530,30 @@ mod tests {
             assert!(le >= prev.0 && c >= prev.1, "{line}");
             prev = (le, c);
         }
+    }
+
+    #[test]
+    fn standalone_histogram_renders_byte_identically_to_the_registry() {
+        let reg = MetricRegistry::default();
+        let in_registry = reg.histogram("psp.net.upload_us").unwrap();
+        let standalone = crate::Histogram::new();
+        for v in [0, 3, 3, 17, 250, 4_000, 90_000, 1 << 41] {
+            in_registry.record(v);
+            standalone.record(v);
+        }
+        let mut out = String::new();
+        prometheus_histogram(&mut out, "psp.net.upload_us", &standalone.cumulative());
+        assert_eq!(out, prometheus_text(&reg));
+        // An empty standalone histogram renders like an empty registered one.
+        let reg = MetricRegistry::default();
+        reg.histogram("empty.hist").unwrap();
+        let mut out = String::new();
+        prometheus_histogram(
+            &mut out,
+            "empty.hist",
+            &crate::Histogram::new().cumulative(),
+        );
+        assert_eq!(out, prometheus_text(&reg));
     }
 
     #[test]

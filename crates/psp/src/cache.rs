@@ -18,7 +18,8 @@
 //! bookkeeping — never across codec work) and safe to share across server
 //! shards. Hit/miss/eviction counts feed `puppies-obs` counters
 //! (`psp.cache.hit`, `psp.cache.miss`, `psp.cache.eviction`,
-//! `psp.memo.hit`, `psp.memo.miss`) and the `psp.cache.bytes` gauge.
+//! `psp.memo.hit`, `psp.memo.miss`) and the `psp.cache.bytes` and
+//! `psp.cache.entries` gauges.
 
 use parking_lot::Mutex;
 use puppies_jpeg::CoeffImage;
@@ -279,7 +280,7 @@ impl TransformCache {
             }
         }
         inner.maybe_compact();
-        let resident = inner.bytes;
+        let (resident, entries) = (inner.bytes, inner.map.len());
         drop(inner);
         if evicted > 0 {
             self.evictions.fetch_add(evicted, Ordering::Relaxed);
@@ -289,6 +290,7 @@ impl TransformCache {
         }
         if puppies_obs::enabled() {
             puppies_obs::gauge_set("psp.cache.bytes", resident as i64);
+            puppies_obs::gauge_set("psp.cache.entries", entries as i64);
         }
     }
 

@@ -8,7 +8,7 @@
 //! the protected JPEG payload — is framed, Shamir-split over GF(2⁸)
 //! ([`shamir`]), and one share is stored on each of `n` independent
 //! simulated backends (each a full [`PspServer`]). Public parameters stay
-//! public and are replicated. Any `k` backends reconstruct the upload
+//! public and are kept once, by the cluster. Any `k` backends reconstruct the upload
 //! byte-exactly; any `k−1` learn nothing (information-theoretically — the
 //! `puppies-attacks` leakage oracles measure this rather than assume it).
 //!
@@ -29,7 +29,7 @@ pub mod gf256;
 pub mod shamir;
 
 use crate::sha256::sha256_concat;
-use crate::store::{PhotoId, PspConfig, PspServer};
+use crate::store::{PhotoId, PspServer};
 use crate::{PspError, Result};
 use fault::{Fault, FaultOutcome, FaultPlan};
 use parking_lot::RwLock;
@@ -45,27 +45,24 @@ use std::sync::atomic::{AtomicU64, Ordering};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterPhotoId(pub u64);
 
-/// Cluster shape and per-backend tuning.
+/// Cluster shape and split seed.
 #[derive(Debug, Clone)]
 pub struct ClusterConfig {
     /// Number of backends (shares issued per upload), 1 ..= 255.
     pub n: usize,
     /// Reconstruction threshold, 1 ..= n.
     pub k: usize,
-    /// Configuration applied to every simulated backend server.
-    pub backend: PspConfig,
     /// Root seed for split randomness (per-upload seeds are derived by
     /// hashing this with the upload id, generation, and a nonce).
     pub seed: [u8; 32],
 }
 
 impl ClusterConfig {
-    /// A (n, k) cluster with default backend tuning and a fixed seed.
+    /// A (n, k) cluster with a fixed seed.
     pub fn new(n: usize, k: usize) -> Self {
         ClusterConfig {
             n,
             k,
-            backend: PspConfig::default(),
             seed: [0x5C; 32],
         }
     }
@@ -80,7 +77,8 @@ impl ClusterConfig {
 /// Book-keeping for one cluster upload.
 #[derive(Debug)]
 struct UploadMeta {
-    /// Replicated public parameters (public by construction).
+    /// The upload's public parameters (public by construction); backends
+    /// store shares only.
     params: std::sync::Arc<[u8]>,
     /// Current share generation; bumped by every rebalance.
     generation: u16,
@@ -163,7 +161,7 @@ impl ShardedPspCluster {
             )));
         }
         let backends = (0..config.n)
-            .map(|_| RwLock::new(PspServer::with_config(config.backend.clone())))
+            .map(|_| RwLock::new(PspServer::new()))
             .collect();
         Ok(ShardedPspCluster {
             faults: FaultPlan::healthy(config.n),
@@ -217,15 +215,14 @@ impl ShardedPspCluster {
     }
 
     /// Splits `secret` at `generation` and stores one share per backend,
-    /// honoring armed faults. Returns the slot vector and how many
-    /// shares were stored *healthily* (corrupting backends store mangled
-    /// bytes, which cannot count toward a reconstruction quorum).
+    /// honoring armed faults. Returns the slot vector and how many shares
+    /// were stored *healthily* (corrupting backends store mangled bytes,
+    /// which cannot count toward a reconstruction quorum).
     fn store_shares(
         &self,
         id: u64,
         secret: &[u8],
         generation: u16,
-        params: &[u8],
     ) -> Result<(Vec<Option<PhotoId>>, usize)> {
         let seed = self.derive_split_seed(id, generation);
         let shares = shamir::split(secret, self.config.n, self.config.k, generation, seed)
@@ -247,7 +244,7 @@ impl ShardedPspCluster {
                 let mid = wire.len() / 2;
                 wire[mid] ^= 0x01;
             }
-            match self.backends[i].read().upload(wire, params.to_vec()) {
+            match self.backends[i].read().upload(wire, Vec::new()) {
                 Ok(pid) => (Some(pid), healthy),
                 Err(_) => (None, false),
             }
@@ -259,7 +256,7 @@ impl ShardedPspCluster {
 
     /// Uploads a protected photo: frames (grant ‖ bytes) as the secret,
     /// splits it k-of-n, and stores one share per live backend. Public
-    /// `params` are replicated. The upload is acknowledged only when at
+    /// `params` stay with the cluster, not the backends. The upload is acknowledged only when at
     /// least k shares were stored on healthy backends — an ack therefore
     /// guarantees reconstructability.
     ///
@@ -275,7 +272,7 @@ impl ShardedPspCluster {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let secret = frame_secret(grant, &bytes);
         let secret_sha = crate::sha256::sha256(&secret);
-        let (slots, healthy) = self.store_shares(id, &secret, 0, &params)?;
+        let (slots, healthy) = self.store_shares(id, &secret, 0)?;
         if healthy < self.config.k {
             puppies_obs::counted!("cluster.upload_rejected");
             return Err(cluster_err(format!(
@@ -296,8 +293,8 @@ impl ShardedPspCluster {
         Ok(ClusterPhotoId(id))
     }
 
-    /// Replicated public parameters for an upload (no backend round-trip
-    /// — params are public and cluster-held).
+    /// Public parameters for an upload (no backend round-trip — params
+    /// are public and cluster-held).
     ///
     /// # Errors
     /// Fails on unknown ids.
@@ -425,7 +422,7 @@ impl ShardedPspCluster {
         if i >= self.config.n {
             return Err(cluster_err(format!("no backend {i}")));
         }
-        *self.backends[i].write() = PspServer::with_config(self.config.backend.clone());
+        *self.backends[i].write() = PspServer::new();
         self.faults.clear(i);
         let mut uploads = self.uploads.write();
         for meta in uploads.values_mut() {
@@ -450,18 +447,16 @@ impl ShardedPspCluster {
             let all: Vec<usize> = (0..self.config.n).collect();
             self.reconstruct_secret(id, &all)?
         };
-        let (generation, params) = {
+        let generation = {
             let uploads = self.uploads.read();
             let meta = uploads
                 .get(&id.0)
                 .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?;
-            let next = meta
-                .generation
+            meta.generation
                 .checked_add(1)
-                .ok_or_else(|| cluster_err("re-share generation exhausted (u16 wrapped)"))?;
-            (next, meta.params.clone())
+                .ok_or_else(|| cluster_err("re-share generation exhausted (u16 wrapped)"))?
         };
-        let (slots, healthy) = self.store_shares(id.0, &secret, generation, &params)?;
+        let (slots, healthy) = self.store_shares(id.0, &secret, generation)?;
         if healthy < self.config.k {
             return Err(cluster_err(format!(
                 "rebalance quorum failed: {healthy} healthy share stores < k = {}",
@@ -524,9 +519,7 @@ mod tests {
     }
 
     fn cluster(n: usize, k: usize) -> ShardedPspCluster {
-        let mut cfg = ClusterConfig::new(n, k);
-        cfg.backend = PspConfig::uncached();
-        ShardedPspCluster::new(cfg).unwrap()
+        ShardedPspCluster::new(ClusterConfig::new(n, k)).unwrap()
     }
 
     #[test]

@@ -370,15 +370,6 @@ impl Client {
         Ok((sig, matches))
     }
 
-    /// `GET /stats` as `key:value` lines.
-    ///
-    /// # Errors
-    /// Fails on transport errors.
-    pub fn stats(&mut self) -> Result<String> {
-        self.expect("GET", "/stats", None, &[], 200)
-            .map(|(_, body)| String::from_utf8_lossy(&body).into_owned())
-    }
-
     /// Asks the server to re-read `serve.conf` (admin token required).
     ///
     /// # Errors

@@ -15,7 +15,6 @@
 //! | `GET  /health`                 | —               | → `ok` (alias `/healthz`; liveness, always 200) |
 //! | `GET  /readyz`                 | —               | → `ready`, or 503 listing what is not ready |
 //! | `GET  /metrics`                | —               | → Prometheus text format 0.0.4 |
-//! | `GET  /stats`                  | —               | → text metrics |
 //! | `POST /photos`                 | —               | framed bytes+params → `id:`/`token:` lines |
 //! | `GET  /photos/<id>`            | —               | → raw bitstream |
 //! | `GET  /photos/<id>/params`     | —               | → raw params |
@@ -48,8 +47,7 @@ pub mod client;
 pub mod http;
 pub mod proto;
 pub mod server;
-pub mod slo;
+mod slo;
 
 pub use client::Client;
 pub use server::{serve, Recovery, ServeConfig, Server};
-pub use slo::{Sample, SloConfig, SloRegistry, SloSnapshot};

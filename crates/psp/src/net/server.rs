@@ -17,7 +17,10 @@
 //! `/readyz` returns 503 until recovery publishes the store — orchestrators
 //! can distinguish "booting" from "dead" during long replays. `/metrics`
 //! serves the process-wide [`puppies_obs`] registry in Prometheus text
-//! format plus per-endpoint rolling-window SLO families ([`super::slo`]).
+//! format plus the per-endpoint trackers ([`super::slo`]): each request
+//! is recorded once, in its endpoint's tracker, which renders both the
+//! rolling-window SLO families and the `psp_net_<endpoint>_us` latency
+//! histogram.
 //! Requests carrying an `x-puppies-trace` header are adopted as children
 //! of the caller's span, so one Chrome trace stitches client, server, and
 //! backends. A sampled structured access log (JSON lines, `access.log` in
@@ -25,10 +28,10 @@
 
 use super::http::{self, ReadOutcome, Request, Response};
 use super::proto;
-use super::slo::{Sample, SloConfig, SloRegistry};
+use super::slo::{Endpoint, SloRegistry};
 use crate::cache::fnv64_chain;
 use crate::sha256::{ct_eq, sha256, sha256_concat};
-use crate::store::{PhotoId, PspConfig};
+use crate::store::{PhotoId, PspConfig, ServedPath};
 use crate::store_disk::{DiskStore, RecoveryStats};
 use crate::{PspError, Result};
 use parking_lot::{Mutex, RwLock};
@@ -241,6 +244,15 @@ impl Shared {
         ]);
         proto::hex(&digest)
     }
+
+    /// Re-reads `serve.conf` into the live tunables — the one reload
+    /// path behind both SIGHUP and `POST /admin/reload`.
+    fn reload(&self) -> Tunables {
+        let t = Tunables::load(&self.dir);
+        *self.tunables.write() = t;
+        puppies_obs::counter_add("psp.net.reloads", 1);
+        t
+    }
 }
 
 /// A bound, ready-to-run PSP service.
@@ -273,7 +285,6 @@ impl Recovery {
                 let stats = store.recovery();
                 let _ = self.shared.store.set(store);
                 self.shared.ready.store(true, Ordering::Release);
-                puppies_obs::gauge_set("psp.net.ready", 1);
                 Ok(stats)
             }
             Err(e) => {
@@ -333,7 +344,7 @@ impl Server {
             tunables: RwLock::new(Tunables::load(&config.dir)),
             draining: AtomicBool::new(false),
             connections: AtomicUsize::new(0),
-            slo: SloRegistry::new(SloConfig::default()),
+            slo: SloRegistry::default(),
             access_log: Mutex::new(access_log),
             access_seq: AtomicU64::new(0),
         });
@@ -377,7 +388,7 @@ impl Server {
             .map_err(|e| PspError::Channel(format!("nonblocking listener: {e}")))?;
         while !self.draining() {
             if SIG_RELOAD.swap(false, Ordering::Relaxed) {
-                self.reload();
+                self.shared.reload();
             }
             match self.listener.accept() {
                 Ok((stream, _peer)) => {
@@ -415,12 +426,6 @@ impl Server {
 
     fn draining(&self) -> bool {
         SIG_SHUTDOWN.load(Ordering::Relaxed) || self.shared.draining.load(Ordering::Relaxed)
-    }
-
-    fn reload(&self) {
-        let t = Tunables::load(&self.shared.dir);
-        *self.shared.tunables.write() = t;
-        puppies_obs::counter_add("psp.net.reloads", 1);
     }
 }
 
@@ -464,8 +469,8 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
         let trace = req
             .header("x-puppies-trace")
             .and_then(puppies_obs::TraceContext::parse);
-        let endpoint = endpoint_key(&req);
-        let sw = puppies_obs::Stopwatch::start();
+        let endpoint = Endpoint::of(&req.method, &req.path);
+        let started = Instant::now();
         let resp = {
             let _span = match &trace {
                 Some(ctx) => {
@@ -475,12 +480,7 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
             };
             route(shared, &req)
         };
-        puppies_obs::counter_add("psp.net.requests", 1);
-        let dur_us = sw.record_us("psp.net.req_us");
-        sw.record_us(endpoint_metric(endpoint));
-        if resp.status >= 500 {
-            puppies_obs::counter_add("psp.net.errors", 1);
-        }
+        let dur_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
         observe_request(
             shared,
             &tunables,
@@ -502,44 +502,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     }
 }
 
-/// Stable per-endpoint key, shared by the latency histograms and the SLO
-/// trackers (see [`super::slo::ENDPOINTS`]).
-fn endpoint_key(req: &Request) -> &'static str {
-    let mut segs = req.path.split('/').filter(|s| !s.is_empty());
-    match (req.method.as_str(), segs.next(), segs.next(), segs.next()) {
-        ("POST", Some("photos"), None, None) => "upload",
-        ("GET", Some("photos"), Some(_), None) => "download",
-        ("GET", Some("photos"), Some(_), Some("params")) => "params",
-        ("POST", Some("photos"), Some(_), Some("transformed")) => "transformed",
-        ("POST", Some("photos"), Some(_), Some("transform")) => "transform",
-        ("POST", Some("search"), None, None) => "search",
-        (_, Some("grants"), ..) => "grants",
-        (_, Some("receivers"), ..) => "receivers",
-        _ => "other",
-    }
-}
-
-/// Per-endpoint latency histogram name for an [`endpoint_key`].
-fn endpoint_metric(key: &'static str) -> &'static str {
-    match key {
-        "upload" => "psp.net.upload_us",
-        "download" => "psp.net.download_us",
-        "params" => "psp.net.params_us",
-        "transformed" => "psp.net.transformed_us",
-        "transform" => "psp.net.transform_us",
-        "search" => "psp.net.search_us",
-        "grants" => "psp.net.grants_us",
-        "receivers" => "psp.net.receivers_us",
-        _ => "psp.net.other_us",
-    }
-}
-
-/// Feeds one finished request into the SLO window and, subject to
-/// sampling and the slow threshold, the structured access log.
+/// Feeds one finished request into its endpoint's tracker (the server's
+/// one per-request record) and, subject to sampling and the slow
+/// threshold, the structured access log.
 fn observe_request(
     shared: &Shared,
     tunables: &Tunables,
-    endpoint: &'static str,
+    endpoint: Endpoint,
     req: &Request,
     resp: &Response,
     dur_us: u64,
@@ -555,21 +524,9 @@ fn observe_request(
     let served = resp_header("x-served-path");
     shared.slo.record(
         endpoint,
-        Sample {
-            ok: resp.status < 500,
-            latency_us: dur_us,
-            cache_hit: cache.map(|c| c == "hit"),
-            coeff_served: match served {
-                Some("coeff-domain") => Some(true),
-                Some("pixel-fallback") => Some(false),
-                _ => None,
-            },
-            sig_hit: match served {
-                Some("sig-cached") => Some(true),
-                Some("cached") => Some(false),
-                _ => None,
-            },
-        },
+        resp.status < 500,
+        dur_us,
+        served.and_then(ServedPath::parse),
     );
     let slow = dur_us >= tunables.slow_request_us;
     let seq = shared.access_seq.fetch_add(1, Ordering::Relaxed);
@@ -582,12 +539,13 @@ fn observe_request(
         .map(|d| d.as_millis() as u64)
         .unwrap_or(0);
     let mut line = format!(
-        "{{\"ts_ms\":{ts_ms},\"seq\":{seq},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\"dur_us\":{dur_us},\"bytes_in\":{},\"bytes_out\":{},\"endpoint\":\"{endpoint}\"",
+        "{{\"ts_ms\":{ts_ms},\"seq\":{seq},\"method\":\"{}\",\"path\":\"{}\",\"status\":{},\"dur_us\":{dur_us},\"bytes_in\":{},\"bytes_out\":{},\"endpoint\":\"{}\"",
         puppies_obs::escape_json(&req.method),
         puppies_obs::escape_json(&req.path),
         resp.status,
         req.body.len(),
         resp.body.len(),
+        endpoint.as_str(),
     );
     if let Some(c) = cache {
         line.push_str(&format!(",\"cache\":\"{}\"", puppies_obs::escape_json(c)));
@@ -639,7 +597,6 @@ fn route(shared: &Shared, req: &Request) -> Response {
         ("GET", ["readyz"]) => readyz(shared),
         ("GET", ["metrics"]) => metrics(shared),
         _ if !shared.ready() => Response::status(503, "starting: store recovery in progress"),
-        ("GET", ["stats"]) => stats(shared),
         ("POST", ["photos"]) => upload(shared, req),
         ("GET", ["photos", id]) => with_id(id, |id| {
             respond(shared.store().server().download(id), |b| {
@@ -660,9 +617,7 @@ fn route(shared: &Shared, req: &Request) -> Response {
         ("POST", ["grants"]) => deposit_grant(shared, req),
         ("GET", ["grants"]) => drain_grants(shared, req),
         ("POST", ["admin", "reload"]) => admin(shared, req, |shared| {
-            let t = Tunables::load(&shared.dir);
-            *shared.tunables.write() = t;
-            puppies_obs::counter_add("psp.net.reloads", 1);
+            let t = shared.reload();
             Response::text(format!(
                 "max_body:{}\nkeep_alive:{}\naccess_log_sample:{}\nslow_request_us:{}\n",
                 t.max_body, t.keep_alive, t.access_log_sample, t.slow_request_us
@@ -673,8 +628,8 @@ fn route(shared: &Shared, req: &Request) -> Response {
         }
         (
             _,
-            ["health" | "healthz" | "readyz" | "metrics" | "stats" | "photos" | "receivers"
-            | "grants" | "admin", ..],
+            ["health" | "healthz" | "readyz" | "metrics" | "photos" | "receivers" | "grants"
+            | "admin", ..],
         ) => Response::status(405, "method not allowed"),
         _ => Response::status(404, "no such endpoint"),
     }
@@ -700,7 +655,8 @@ fn readyz(shared: &Shared) -> Response {
 }
 
 /// The Prometheus text exposition: the process-wide [`puppies_obs`]
-/// registry, the per-endpoint SLO families, and the server's own
+/// registry, the per-endpoint trackers (SLO families and
+/// `psp_net_<endpoint>_us` latency histograms), and the server's own
 /// readiness gauge. 503 when no subscriber is installed, so a
 /// scrape of a metrics-less process is an explicit failure rather than
 /// an empty success.
@@ -732,20 +688,6 @@ fn admin(shared: &Shared, req: &Request, f: impl FnOnce(&Shared) -> Response) ->
         Some(_) => Response::status(403, "bad admin token"),
         None => Response::status(401, "admin token required"),
     }
-}
-
-fn stats(shared: &Shared) -> Response {
-    let server = shared.store().server();
-    let cache = server.cache_stats();
-    Response::text(format!(
-        "photos:{}\ncache_hits:{}\ncache_misses:{}\ncache_entries:{}\ncache_bytes:{}\nsig_index:{}\n",
-        server.len(),
-        cache.hits,
-        cache.misses,
-        cache.entries,
-        cache.bytes,
-        server.sig_index_len(),
-    ))
 }
 
 fn upload(shared: &Shared, req: &Request) -> Response {
@@ -791,7 +733,7 @@ fn download_transformed(shared: &Shared, req: &Request, id: PhotoId) -> Response
         |((bytes, params), outcome, served)| {
             let cache = match outcome {
                 crate::store::CacheOutcome::Hit => "hit",
-                _ => "miss",
+                crate::store::CacheOutcome::Miss => "miss",
             };
             Response::ok(proto::encode_pair(&bytes, &params))
                 .with_header("x-cache", cache)

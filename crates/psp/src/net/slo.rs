@@ -1,78 +1,96 @@
-//! Rolling-window SLO accounting for the networked PSP.
+//! The networked PSP's per-request record: one tracker per [`Endpoint`],
+//! with rolling-window SLO accounting.
 //!
-//! Each endpoint gets a tracker: cumulative request/error/burn counters
-//! plus a ring of time slots (default six 10-second slots = a 60-second
-//! window) holding per-slot request counts, error counts, a latency
-//! histogram, and the transform-door serve-path tallies. Recording is
-//! lock-free — a handful of relaxed atomics per request; a slot whose
-//! epoch has passed is reset in place by the first thread to claim it
-//! for the new epoch, so the window "rolls" without any background
-//! thread. Resets racing with records can lose a few edge samples; SLO
-//! windows are statistics, not ledgers, and accept that.
+//! Each tracker holds a cumulative latency histogram (its count is the
+//! endpoint's request total; `/metrics` renders it as the
+//! `psp_net_<endpoint>_us` family), cumulative error and burn counters,
+//! and a ring of [`SLOTS`] time slots of [`SLOT_SECS`] seconds each (a
+//! 60-second window) holding per-slot request counts, error counts, a
+//! latency histogram, and one counter per transform-door [`ServedPath`].
+//! Recording is lock-free — a handful of relaxed atomics per request; a
+//! slot whose epoch has passed is reset in place by the first thread to
+//! claim it for the new epoch, so the window "rolls" without any
+//! background thread. Resets racing with records can lose a few edge
+//! samples; SLO windows are statistics, not ledgers, and accept that.
 //!
 //! The **error budget burn** counter increments once per failed request
-//! that lands while the rolling window's error rate already exceeds the
-//! target (default 1%, i.e. a 99% availability SLO) — a scrape-friendly
-//! monotone signal that alerting can rate() without re-deriving window
-//! state.
+//! that lands while the rolling window's error rate already exceeds
+//! [`TARGET_ERROR_RATE`] (1%, i.e. a 99% availability SLO) — a
+//! scrape-friendly monotone signal that alerting can rate() without
+//! re-deriving window state.
 
-use puppies_obs::{escape_prom_label, Histogram};
+use crate::store::ServedPath;
+use puppies_obs::{escape_prom_label, prometheus_histogram, Histogram, HistogramSnapshot};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// The endpoints tracked, in exposition order. `other` absorbs anything
-/// unrecognized so the label set stays bounded.
-pub const ENDPOINTS: [&str; 9] = [
-    "upload",
-    "download",
-    "params",
-    "transformed",
-    "transform",
-    "search",
-    "grants",
-    "receivers",
-    "other",
-];
+/// Seconds per window slot.
+const SLOT_SECS: u64 = 10;
+/// Slots in the ring; the window covers `SLOT_SECS * SLOTS` seconds.
+const SLOTS: usize = 6;
+/// Error-rate target (fraction of requests); the error budget burns while
+/// the window's rate is above this.
+const TARGET_ERROR_RATE: f64 = 0.01;
 
-/// Window geometry and SLO target.
-#[derive(Debug, Clone, Copy)]
-pub struct SloConfig {
-    /// Seconds per slot.
-    pub slot_secs: u64,
-    /// Slots in the ring; the window covers `slot_secs * slots` seconds.
-    pub slots: usize,
-    /// Error-rate target (fraction of requests); the error budget burns
-    /// while the window's rate is above this.
-    pub target_error_rate: f64,
+/// The endpoints tracked, in exposition order. `Other` absorbs anything
+/// unrecognized so the label set stays bounded.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Endpoint {
+    Upload,
+    Download,
+    Params,
+    Transformed,
+    Transform,
+    Search,
+    Grants,
+    Receivers,
+    Other,
 }
 
-impl Default for SloConfig {
-    fn default() -> SloConfig {
-        SloConfig {
-            slot_secs: 10,
-            slots: 6,
-            target_error_rate: 0.01,
+impl Endpoint {
+    const ALL: [Endpoint; 9] = [
+        Endpoint::Upload,
+        Endpoint::Download,
+        Endpoint::Params,
+        Endpoint::Transformed,
+        Endpoint::Transform,
+        Endpoint::Search,
+        Endpoint::Grants,
+        Endpoint::Receivers,
+        Endpoint::Other,
+    ];
+
+    /// The endpoint a request is accounted to.
+    pub fn of(method: &str, path: &str) -> Endpoint {
+        let mut segs = path.split('/').filter(|s| !s.is_empty());
+        match (method, segs.next(), segs.next(), segs.next()) {
+            ("POST", Some("photos"), None, None) => Endpoint::Upload,
+            ("GET", Some("photos"), Some(_), None) => Endpoint::Download,
+            ("GET", Some("photos"), Some(_), Some("params")) => Endpoint::Params,
+            ("POST", Some("photos"), Some(_), Some("transformed")) => Endpoint::Transformed,
+            ("POST", Some("photos"), Some(_), Some("transform")) => Endpoint::Transform,
+            ("POST", Some("search"), None, None) => Endpoint::Search,
+            (_, Some("grants"), ..) => Endpoint::Grants,
+            (_, Some("receivers"), ..) => Endpoint::Receivers,
+            _ => Endpoint::Other,
         }
     }
-}
 
-/// One request's contribution to the window.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Sample {
-    /// `false` counts against the error budget (the server treats 5xx as
-    /// errors; 4xx are the client's problem, not the SLO's).
-    pub ok: bool,
-    /// Service time in microseconds.
-    pub latency_us: u64,
-    /// Transform door only: did the result cache serve it?
-    pub cache_hit: Option<bool>,
-    /// Transform door only, cache misses only: coefficient-domain
-    /// (`true`) vs pixel-fallback (`false`).
-    pub coeff_served: Option<bool>,
-    /// Transform door only, cache hits only: served via the perceptual
-    /// signature (family) key (`true`) vs the exact content key (`false`).
-    pub sig_hit: Option<bool>,
+    /// The `endpoint` label value (also the access log's field).
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Endpoint::Upload => "upload",
+            Endpoint::Download => "download",
+            Endpoint::Params => "params",
+            Endpoint::Transformed => "transformed",
+            Endpoint::Transform => "transform",
+            Endpoint::Search => "search",
+            Endpoint::Grants => "grants",
+            Endpoint::Receivers => "receivers",
+            Endpoint::Other => "other",
+        }
+    }
 }
 
 /// A slot's epoch tag is `epoch + 1` so the zero-initialized ring reads
@@ -82,12 +100,8 @@ struct Slot {
     tag: AtomicU64,
     requests: AtomicU64,
     errors: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_lookups: AtomicU64,
-    coeff: AtomicU64,
-    coeff_lookups: AtomicU64,
-    sig_hits: AtomicU64,
-    sig_lookups: AtomicU64,
+    /// Transform-door serves, indexed by [`ServedPath`] discriminant.
+    served: [AtomicU64; 4],
     latency: Histogram,
 }
 
@@ -95,75 +109,71 @@ impl Slot {
     fn reset(&self) {
         self.requests.store(0, Ordering::Relaxed);
         self.errors.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_lookups.store(0, Ordering::Relaxed);
-        self.coeff.store(0, Ordering::Relaxed);
-        self.coeff_lookups.store(0, Ordering::Relaxed);
-        self.sig_hits.store(0, Ordering::Relaxed);
-        self.sig_lookups.store(0, Ordering::Relaxed);
+        for s in &self.served {
+            s.store(0, Ordering::Relaxed);
+        }
         self.latency.reset();
+    }
+
+    fn served(&self, path: ServedPath) -> u64 {
+        self.served[path as usize].load(Ordering::Relaxed)
     }
 }
 
 /// Point-in-time view of one endpoint's rolling window.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WindowStats {
+struct WindowStats {
     /// Requests in the window.
-    pub requests: u64,
+    requests: u64,
     /// Errors in the window.
-    pub errors: u64,
-    /// Seconds the window currently covers (grows until the ring fills).
-    pub covered_secs: u64,
-    /// Requests per second over `covered_secs`.
-    pub request_rate: f64,
+    errors: u64,
+    /// Requests per second over the seconds the window covers (which grow
+    /// until the ring fills).
+    request_rate: f64,
     /// Errors / requests (0 when idle).
-    pub error_rate: f64,
+    error_rate: f64,
     /// Median latency estimate, µs.
-    pub p50_us: f64,
+    p50_us: f64,
     /// 99th-percentile latency estimate, µs.
-    pub p99_us: f64,
-    /// Cache hits / cache lookups, when the endpoint consults the cache.
-    pub cache_hit_rate: Option<f64>,
-    /// Coeff-domain serves / (coeff + pixel) misses, transform door only.
-    pub coeff_serve_rate: Option<f64>,
-    /// Signature-family hits / cache hits, transform door only — the
-    /// share of cached serves that only the perceptual-identity key could
-    /// satisfy.
-    pub sig_hit_rate: Option<f64>,
+    p99_us: f64,
+    /// Cached serves / served transforms.
+    cache_hit_rate: Option<f64>,
+    /// Coeff-domain serves / (coeff + pixel) serves.
+    coeff_serve_rate: Option<f64>,
+    /// Signature-family serves / cached serves — the share of cached
+    /// serves that only the perceptual-identity key could satisfy.
+    sig_hit_rate: Option<f64>,
 }
 
 /// Cumulative + windowed view of one endpoint.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct SloSnapshot {
-    /// Requests since process start.
-    pub requests_total: u64,
+#[derive(Debug, Clone, Default, PartialEq)]
+struct SloSnapshot {
+    /// Latency since process start; its `count` is the request total.
+    latency: HistogramSnapshot,
     /// Errors since process start.
-    pub errors_total: u64,
+    errors_total: u64,
     /// Error-budget burn events since process start (see module docs).
-    pub burn_total: u64,
+    burn_total: u64,
     /// The rolling window.
-    pub window: WindowStats,
+    window: WindowStats,
 }
 
+#[derive(Default)]
 struct Tracker {
-    slots: Box<[Slot]>,
-    requests_total: AtomicU64,
+    slots: [Slot; SLOTS],
+    latency: Histogram,
     errors_total: AtomicU64,
     burn_total: AtomicU64,
 }
 
-impl Tracker {
-    fn new(slots: usize) -> Tracker {
-        Tracker {
-            slots: (0..slots.max(1)).map(|_| Slot::default()).collect(),
-            requests_total: AtomicU64::new(0),
-            errors_total: AtomicU64::new(0),
-            burn_total: AtomicU64::new(0),
-        }
-    }
+/// `num / den`, or `None` when nothing was counted.
+fn ratio(num: u64, den: u64) -> Option<f64> {
+    (den > 0).then(|| num as f64 / den as f64)
+}
 
+impl Tracker {
     fn slot_for(&self, epoch: u64) -> &Slot {
-        let slot = &self.slots[(epoch % self.slots.len() as u64) as usize];
+        let slot = &self.slots[(epoch % SLOTS as u64) as usize];
         let tag = epoch + 1;
         if slot.tag.load(Ordering::Relaxed) != tag && slot.tag.swap(tag, Ordering::Relaxed) != tag {
             slot.reset();
@@ -173,37 +183,22 @@ impl Tracker {
 
     /// Slots still inside the window ending at `epoch`.
     fn live_slots(&self, epoch: u64) -> impl Iterator<Item = &Slot> {
-        let oldest_tag = (epoch + 1).saturating_sub(self.slots.len() as u64 - 1);
+        let oldest_tag = (epoch + 1).saturating_sub(SLOTS as u64 - 1);
         self.slots.iter().filter(move |s| {
             let tag = s.tag.load(Ordering::Relaxed);
             tag != 0 && tag >= oldest_tag && tag <= epoch + 1
         })
     }
 
-    fn record_at(&self, epoch: u64, sample: Sample, target: f64) {
+    fn record_at(&self, epoch: u64, ok: bool, latency_us: u64, served: Option<ServedPath>) {
         let slot = self.slot_for(epoch);
         slot.requests.fetch_add(1, Ordering::Relaxed);
-        slot.latency.record(sample.latency_us);
-        if let Some(hit) = sample.cache_hit {
-            slot.cache_lookups.fetch_add(1, Ordering::Relaxed);
-            if hit {
-                slot.cache_hits.fetch_add(1, Ordering::Relaxed);
-            }
+        slot.latency.record(latency_us);
+        if let Some(path) = served {
+            slot.served[path as usize].fetch_add(1, Ordering::Relaxed);
         }
-        if let Some(coeff) = sample.coeff_served {
-            slot.coeff_lookups.fetch_add(1, Ordering::Relaxed);
-            if coeff {
-                slot.coeff.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        if let Some(sig) = sample.sig_hit {
-            slot.sig_lookups.fetch_add(1, Ordering::Relaxed);
-            if sig {
-                slot.sig_hits.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.requests_total.fetch_add(1, Ordering::Relaxed);
-        if !sample.ok {
+        self.latency.record(latency_us);
+        if !ok {
             slot.errors.fetch_add(1, Ordering::Relaxed);
             self.errors_total.fetch_add(1, Ordering::Relaxed);
             let (mut req, mut err) = (0u64, 0u64);
@@ -211,52 +206,39 @@ impl Tracker {
                 req += s.requests.load(Ordering::Relaxed);
                 err += s.errors.load(Ordering::Relaxed);
             }
-            if req > 0 && err as f64 / req as f64 > target {
+            if req > 0 && err as f64 / req as f64 > TARGET_ERROR_RATE {
                 self.burn_total.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    fn snapshot_at(&self, epoch: u64, slot_secs: u64) -> SloSnapshot {
+    fn snapshot_at(&self, epoch: u64) -> SloSnapshot {
         let mut w = WindowStats::default();
         let merged = Histogram::new();
-        let (mut hits, mut lookups, mut coeff, mut coeff_lookups) = (0u64, 0u64, 0u64, 0u64);
-        let (mut sig_hits, mut sig_lookups) = (0u64, 0u64);
+        let (mut coeff, mut pixel, mut cached, mut sig) = (0u64, 0u64, 0u64, 0u64);
         let mut live = 0u64;
         for s in self.live_slots(epoch) {
             live += 1;
             w.requests += s.requests.load(Ordering::Relaxed);
             w.errors += s.errors.load(Ordering::Relaxed);
-            hits += s.cache_hits.load(Ordering::Relaxed);
-            lookups += s.cache_lookups.load(Ordering::Relaxed);
-            coeff += s.coeff.load(Ordering::Relaxed);
-            coeff_lookups += s.coeff_lookups.load(Ordering::Relaxed);
-            sig_hits += s.sig_hits.load(Ordering::Relaxed);
-            sig_lookups += s.sig_lookups.load(Ordering::Relaxed);
+            coeff += s.served(ServedPath::CoeffDomain);
+            pixel += s.served(ServedPath::PixelFallback);
+            cached += s.served(ServedPath::Cached);
+            sig += s.served(ServedPath::SigCached);
             merged.merge(&s.latency);
         }
         // Idle slots never get claimed, so count covered time from the
         // window's span, capped by how long the process could have run.
-        w.covered_secs = slot_secs * (self.slots.len() as u64).min(epoch + 1).max(live);
-        if w.covered_secs > 0 {
-            w.request_rate = w.requests as f64 / w.covered_secs as f64;
-        }
-        if w.requests > 0 {
-            w.error_rate = w.errors as f64 / w.requests as f64;
-        }
+        let covered_secs = SLOT_SECS * (SLOTS as u64).min(epoch + 1).max(live);
+        w.request_rate = w.requests as f64 / covered_secs as f64;
+        w.error_rate = ratio(w.errors, w.requests).unwrap_or(0.0);
         w.p50_us = merged.quantile(0.50);
         w.p99_us = merged.quantile(0.99);
-        if lookups > 0 {
-            w.cache_hit_rate = Some(hits as f64 / lookups as f64);
-        }
-        if coeff_lookups > 0 {
-            w.coeff_serve_rate = Some(coeff as f64 / coeff_lookups as f64);
-        }
-        if sig_lookups > 0 {
-            w.sig_hit_rate = Some(sig_hits as f64 / sig_lookups as f64);
-        }
+        w.cache_hit_rate = ratio(cached + sig, cached + sig + coeff + pixel);
+        w.coeff_serve_rate = ratio(coeff, coeff + pixel);
+        w.sig_hit_rate = ratio(sig, cached + sig);
         SloSnapshot {
-            requests_total: self.requests_total.load(Ordering::Relaxed),
+            latency: self.latency.cumulative(),
             errors_total: self.errors_total.load(Ordering::Relaxed),
             burn_total: self.burn_total.load(Ordering::Relaxed),
             window: w,
@@ -264,79 +246,63 @@ impl Tracker {
     }
 }
 
-/// Per-endpoint SLO trackers plus the shared clock.
+/// One tracker per [`Endpoint`] plus the shared clock.
 pub struct SloRegistry {
-    config: SloConfig,
     start: Instant,
-    trackers: Vec<(&'static str, Tracker)>,
+    trackers: [Tracker; Endpoint::ALL.len()],
 }
 
 impl Default for SloRegistry {
     fn default() -> Self {
-        SloRegistry::new(SloConfig::default())
+        SloRegistry {
+            start: Instant::now(),
+            trackers: Default::default(),
+        }
     }
 }
 
 impl SloRegistry {
-    /// A registry with one tracker per [`ENDPOINTS`] entry.
-    pub fn new(config: SloConfig) -> SloRegistry {
-        SloRegistry {
-            config,
-            start: Instant::now(),
-            trackers: ENDPOINTS
-                .iter()
-                .map(|&name| (name, Tracker::new(config.slots)))
-                .collect(),
-        }
-    }
-
     fn epoch(&self) -> u64 {
-        self.start.elapsed().as_secs() / self.config.slot_secs.max(1)
+        self.start.elapsed().as_secs() / SLOT_SECS
     }
 
-    fn tracker(&self, endpoint: &str) -> &Tracker {
-        self.trackers
-            .iter()
-            .find(|(name, _)| *name == endpoint)
-            .map(|(_, t)| t)
-            .unwrap_or(&self.trackers[ENDPOINTS.len() - 1].1)
+    /// Records one request: `ok` is `false` for a 5xx (4xx are the
+    /// client's problem, not the SLO's), `served` is the transform door's
+    /// `x-served-path`.
+    pub fn record(&self, ep: Endpoint, ok: bool, latency_us: u64, served: Option<ServedPath>) {
+        self.record_at(self.epoch(), ep, ok, latency_us, served);
     }
 
-    /// Records one request against `endpoint` (unknown names fold into
-    /// `other`).
-    pub fn record(&self, endpoint: &str, sample: Sample) {
-        self.record_at(self.epoch(), endpoint, sample);
+    fn record_at(
+        &self,
+        epoch: u64,
+        ep: Endpoint,
+        ok: bool,
+        latency_us: u64,
+        served: Option<ServedPath>,
+    ) {
+        self.trackers[ep as usize].record_at(epoch, ok, latency_us, served);
     }
 
-    /// Test hook: record at an explicit epoch instead of the wall clock.
-    pub fn record_at(&self, epoch: u64, endpoint: &str, sample: Sample) {
-        self.tracker(endpoint)
-            .record_at(epoch, sample, self.config.target_error_rate);
-    }
-
-    /// One endpoint's snapshot at the current epoch.
-    pub fn snapshot(&self, endpoint: &str) -> SloSnapshot {
-        self.snapshot_at(self.epoch(), endpoint)
-    }
-
-    /// Test hook: snapshot at an explicit epoch.
-    pub fn snapshot_at(&self, epoch: u64, endpoint: &str) -> SloSnapshot {
-        self.tracker(endpoint)
-            .snapshot_at(epoch, self.config.slot_secs)
+    fn snapshot_at(&self, epoch: u64, ep: Endpoint) -> SloSnapshot {
+        self.trackers[ep as usize].snapshot_at(epoch)
     }
 
     /// Renders every tracker in the Prometheus text format, labelled by
     /// endpoint: monotone `psp_slo_{requests,errors,error_budget_burn}_total`
-    /// counters plus `psp_slo_window_*` gauges for the rolling window.
+    /// counters, `psp_slo_window_*` gauges for the rolling window, and
+    /// each endpoint's `psp_net_<endpoint>_us` latency histogram.
     /// Endpoints with no traffic yet are skipped to keep scrapes small.
     pub fn render_prometheus(&self) -> String {
-        let epoch = self.epoch();
+        self.render_prometheus_at(self.epoch())
+    }
+
+    fn render_prometheus_at(&self, epoch: u64) -> String {
         let mut out = String::with_capacity(2048);
-        let snaps: Vec<(&str, SloSnapshot)> = self
-            .trackers
+        let snaps: Vec<(Endpoint, SloSnapshot)> = Endpoint::ALL
             .iter()
-            .map(|(name, t)| (*name, t.snapshot_at(epoch, self.config.slot_secs)))
-            .filter(|(_, s)| s.requests_total > 0)
+            .map(|&ep| (ep, self.snapshot_at(epoch, ep)))
+            .filter(|(_, s)| s.latency.count > 0)
             .collect();
         if snaps.is_empty() {
             return out;
@@ -349,7 +315,7 @@ impl SloRegistry {
                     let _ = writeln!(
                         out,
                         "{name}{{endpoint=\"{}\"}} {}",
-                        escape_prom_label(ep),
+                        escape_prom_label(ep.as_str()),
                         get(s)
                     );
                 }
@@ -358,7 +324,7 @@ impl SloRegistry {
             &mut out,
             "psp_slo_requests_total",
             "requests per endpoint",
-            &|s| s.requests_total,
+            &|s| s.latency.count,
         );
         counter(
             &mut out,
@@ -384,7 +350,11 @@ impl SloRegistry {
                     let _ = writeln!(out, "# TYPE {name} gauge");
                     titled = true;
                 }
-                let _ = writeln!(out, "{name}{{endpoint=\"{}\"}} {v}", escape_prom_label(ep));
+                let _ = writeln!(
+                    out,
+                    "{name}{{endpoint=\"{}\"}} {v}",
+                    escape_prom_label(ep.as_str())
+                );
             }
         };
         gauge(
@@ -423,6 +393,9 @@ impl SloRegistry {
             "signature-family share of cached transform serves over the rolling window",
             &|s| s.window.sig_hit_rate,
         );
+        for (ep, s) in &snaps {
+            prometheus_histogram(&mut out, &format!("psp.net.{}_us", ep.as_str()), &s.latency);
+        }
         out
     }
 }
@@ -431,31 +404,25 @@ impl SloRegistry {
 mod tests {
     use super::*;
 
-    fn ok(latency_us: u64) -> Sample {
-        Sample {
-            ok: true,
-            latency_us,
-            ..Sample::default()
-        }
+    /// A request with no served path.
+    fn plain(reg: &SloRegistry, epoch: u64, ep: Endpoint, ok: bool, latency_us: u64) {
+        reg.record_at(epoch, ep, ok, latency_us, None);
     }
 
-    fn err() -> Sample {
-        Sample {
-            ok: false,
-            latency_us: 1000,
-            ..Sample::default()
-        }
+    /// A successful transform-door serve.
+    fn serve(reg: &SloRegistry, path: ServedPath, latency_us: u64) {
+        reg.record_at(0, Endpoint::Transformed, true, latency_us, Some(path));
     }
 
     #[test]
     fn window_tracks_rates_and_quantiles() {
-        let reg = SloRegistry::new(SloConfig::default());
+        let reg = SloRegistry::default();
         for i in 0..100 {
-            reg.record_at(0, "upload", ok(100 + i));
+            plain(&reg, 0, Endpoint::Upload, true, 100 + i);
         }
-        reg.record_at(0, "upload", err());
-        let s = reg.snapshot_at(0, "upload");
-        assert_eq!(s.requests_total, 101);
+        plain(&reg, 0, Endpoint::Upload, false, 1000);
+        let s = reg.snapshot_at(0, Endpoint::Upload);
+        assert_eq!(s.latency.count, 101);
         assert_eq!(s.errors_total, 1);
         assert_eq!(s.window.requests, 101);
         assert_eq!(s.window.errors, 1);
@@ -466,82 +433,59 @@ mod tests {
 
     #[test]
     fn old_slots_roll_out_of_the_window() {
-        let cfg = SloConfig {
-            slot_secs: 10,
-            slots: 3,
-            target_error_rate: 0.01,
-        };
-        let reg = SloRegistry::new(cfg);
-        reg.record_at(0, "download", ok(50));
-        reg.record_at(1, "download", ok(50));
-        // Window at epoch 2 still sees both...
-        assert_eq!(reg.snapshot_at(2, "download").window.requests, 2);
-        // ...but at epoch 3 the window is epochs 1..=3, so the epoch-0
-        // slot has rolled out; at epoch 10 the whole window is empty while
-        // the cumulative counters keep the history.
-        assert_eq!(reg.snapshot_at(3, "download").window.requests, 1);
-        let s = reg.snapshot_at(10, "download");
+        let reg = SloRegistry::default();
+        plain(&reg, 0, Endpoint::Download, true, 50);
+        plain(&reg, 1, Endpoint::Download, true, 50);
+        // The six-slot window at epoch 5 still sees both...
+        assert_eq!(reg.snapshot_at(5, Endpoint::Download).window.requests, 2);
+        // ...but at epoch 6 the window is epochs 1..=6, so the epoch-0
+        // slot has rolled out; at epoch 20 the whole window is empty while
+        // the cumulative histogram keeps the history.
+        assert_eq!(reg.snapshot_at(6, Endpoint::Download).window.requests, 1);
+        let s = reg.snapshot_at(20, Endpoint::Download);
         assert_eq!(s.window.requests, 0);
-        assert_eq!(s.requests_total, 2);
-        // A new record at epoch 10 reuses (and resets) a stale slot.
-        reg.record_at(10, "download", ok(50));
-        assert_eq!(reg.snapshot_at(10, "download").window.requests, 1);
+        assert_eq!(s.latency.count, 2);
+        // A new record at epoch 20 reuses (and resets) a stale slot.
+        plain(&reg, 20, Endpoint::Download, true, 50);
+        assert_eq!(reg.snapshot_at(20, Endpoint::Download).window.requests, 1);
     }
 
     #[test]
     fn burn_counter_only_ticks_past_the_target() {
-        let cfg = SloConfig {
-            target_error_rate: 0.5,
-            ..SloConfig::default()
-        };
-        let reg = SloRegistry::new(cfg);
-        for _ in 0..10 {
-            reg.record_at(0, "transformed", ok(10));
+        let reg = SloRegistry::default();
+        let burn = |reg: &SloRegistry| reg.snapshot_at(0, Endpoint::Transformed).burn_total;
+        for _ in 0..200 {
+            plain(&reg, 0, Endpoint::Transformed, true, 10);
         }
-        // 1 error in 11 requests: 9% < 50% target — no burn.
-        reg.record_at(0, "transformed", err());
-        assert_eq!(reg.snapshot_at(0, "transformed").burn_total, 0);
-        // Pile on errors until the window rate crosses 50%: burns tick.
-        for _ in 0..15 {
-            reg.record_at(0, "transformed", err());
+        // 1 and then 2 errors in 202 requests: 0.99% is not past the 1%
+        // target — no burn.
+        plain(&reg, 0, Endpoint::Transformed, false, 1000);
+        plain(&reg, 0, Endpoint::Transformed, false, 1000);
+        assert_eq!(burn(&reg), 0);
+        // The third error takes the window to 3/203 = 1.48%: burns tick
+        // once per error from here on.
+        plain(&reg, 0, Endpoint::Transformed, false, 1000);
+        assert_eq!(burn(&reg), 1);
+        for _ in 0..13 {
+            plain(&reg, 0, Endpoint::Transformed, false, 1000);
         }
-        let s = reg.snapshot_at(0, "transformed");
+        let s = reg.snapshot_at(0, Endpoint::Transformed);
         assert_eq!(s.errors_total, 16);
-        assert!(
-            s.burn_total > 0 && s.burn_total < 16,
-            "burn={}",
-            s.burn_total
-        );
+        assert_eq!(s.burn_total, 14);
     }
 
     #[test]
     fn serve_path_rates_only_from_transform_samples() {
         let reg = SloRegistry::default();
-        for hit in [true, false, false, false] {
-            reg.record_at(
-                0,
-                "transformed",
-                Sample {
-                    ok: true,
-                    latency_us: 200,
-                    cache_hit: Some(hit),
-                    coeff_served: if hit { None } else { Some(true) },
-                    sig_hit: if hit { Some(false) } else { None },
-                },
-            );
+        serve(&reg, ServedPath::Cached, 200);
+        for _ in 0..3 {
+            serve(&reg, ServedPath::CoeffDomain, 200);
         }
-        reg.record_at(
-            0,
-            "transformed",
-            Sample {
-                ok: true,
-                latency_us: 900,
-                cache_hit: Some(false),
-                coeff_served: Some(false),
-                sig_hit: None,
-            },
-        );
-        let w = reg.snapshot_at(0, "transformed").window;
+        serve(&reg, ServedPath::PixelFallback, 900);
+        // A request with no served path (a 4xx, say) moves no rate.
+        plain(&reg, 0, Endpoint::Transformed, true, 30);
+        let w = reg.snapshot_at(0, Endpoint::Transformed).window;
+        assert_eq!(w.requests, 6);
         assert_eq!(w.cache_hit_rate, Some(0.2));
         assert_eq!(w.coeff_serve_rate, Some(0.75));
         assert_eq!(w.sig_hit_rate, Some(0.0), "one cached serve, exact key");
@@ -551,42 +495,35 @@ mod tests {
     fn sig_hit_rate_tracks_family_served_share() {
         let reg = SloRegistry::default();
         // Three cached serves: two via the signature-family key.
-        for sig in [true, true, false] {
-            reg.record_at(
-                0,
-                "transformed",
-                Sample {
-                    ok: true,
-                    latency_us: 40,
-                    cache_hit: Some(true),
-                    coeff_served: None,
-                    sig_hit: Some(sig),
-                },
-            );
-        }
-        let w = reg.snapshot_at(0, "transformed").window;
+        serve(&reg, ServedPath::SigCached, 40);
+        serve(&reg, ServedPath::SigCached, 40);
+        serve(&reg, ServedPath::Cached, 40);
+        let w = reg.snapshot_at(0, Endpoint::Transformed).window;
         assert_eq!(w.cache_hit_rate, Some(1.0));
+        assert_eq!(w.coeff_serve_rate, None, "no uncached serve");
         assert!((w.sig_hit_rate.unwrap() - 2.0 / 3.0).abs() < 1e-9);
-        let text = reg.render_prometheus();
+        let text = reg.render_prometheus_at(0);
         assert!(text.contains("psp_slo_window_sig_hit_rate{endpoint=\"transformed\"}"));
         // The search endpoint is a first-class label.
-        reg.record_at(
-            0,
-            "search",
-            Sample {
-                ok: true,
-                latency_us: 10,
-                ..Sample::default()
-            },
-        );
-        assert_eq!(reg.snapshot_at(0, "search").requests_total, 1);
+        assert_eq!(Endpoint::of("POST", "/search"), Endpoint::Search);
+        plain(&reg, 0, Endpoint::Search, true, 10);
+        assert_eq!(reg.snapshot_at(0, Endpoint::Search).latency.count, 1);
     }
 
     #[test]
     fn unknown_endpoints_fold_into_other() {
         let reg = SloRegistry::default();
-        reg.record_at(0, "not-an-endpoint", ok(5));
-        assert_eq!(reg.snapshot_at(0, "other").requests_total, 1);
+        for (method, path) in [
+            ("GET", "/not-an-endpoint"),
+            ("DELETE", "/photos"),
+            ("GET", "/"),
+        ] {
+            let ep = Endpoint::of(method, path);
+            assert_eq!(ep, Endpoint::Other, "{method} {path}");
+            plain(&reg, 0, ep, true, 5);
+        }
+        assert_eq!(reg.snapshot_at(0, Endpoint::Other).latency.count, 3);
+        assert_eq!(Endpoint::of("GET", "/photos/7/params"), Endpoint::Params);
     }
 
     #[test]
@@ -596,16 +533,12 @@ mod tests {
             reg.render_prometheus().is_empty(),
             "idle registry renders nothing"
         );
-        reg.record("upload", ok(123));
+        reg.record(Endpoint::Upload, true, 123, None);
         reg.record(
-            "transformed",
-            Sample {
-                ok: false,
-                latency_us: 5000,
-                cache_hit: Some(false),
-                coeff_served: Some(true),
-                sig_hit: None,
-            },
+            Endpoint::Transformed,
+            false,
+            5000,
+            Some(ServedPath::CoeffDomain),
         );
         let text = reg.render_prometheus();
         assert!(text.contains("# TYPE psp_slo_requests_total counter"));
@@ -614,7 +547,27 @@ mod tests {
         assert!(text.contains("psp_slo_error_budget_burn_total{endpoint=\"transformed\"} 1"));
         assert!(text.contains("psp_slo_window_request_rate{endpoint=\"upload\"}"));
         assert!(text.contains("psp_slo_window_coeff_serve_rate{endpoint=\"transformed\"} 1"));
+        assert!(text.contains("\npsp_net_upload_us_count 1\n"));
+        assert!(text.contains("\npsp_net_transformed_us_sum 5000\n"));
         // Untouched endpoints do not appear.
         assert!(!text.contains("endpoint=\"grants\""));
+        assert!(!text.contains("psp_net_grants_us"));
+    }
+
+    #[test]
+    fn endpoint_histogram_renders_like_the_registry() {
+        let reg = SloRegistry::default();
+        let registry = puppies_obs::MetricRegistry::default();
+        let h = registry.histogram("psp.net.upload_us").unwrap();
+        for us in [3, 3, 17, 250, 4_000, 90_000] {
+            plain(&reg, 0, Endpoint::Upload, true, us);
+            h.record(us);
+        }
+        let family = puppies_obs::prometheus_text(&registry);
+        assert!(family.starts_with("# HELP psp_net_upload_us psp.net.upload_us\n"));
+        assert!(
+            reg.render_prometheus_at(0).ends_with(&family),
+            "tracker family differs from the registry's:\n{family}"
+        );
     }
 }

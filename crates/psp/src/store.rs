@@ -21,9 +21,6 @@
 //!   codec.
 //! - **Decode memo** — transform misses on the same hot photo share one
 //!   entropy decode.
-//! - **Batch APIs** — [`PspServer::download_batch`] /
-//!   [`PspServer::transform_batch`] fan independent requests across the
-//!   ambient [`puppies_core::parallel`] worker pool.
 
 use crate::cache::{
     content_hash64, fnv64, fnv64_chain, CacheStats, DecodeMemo, ServedPair, TransformCache,
@@ -49,13 +46,12 @@ struct StoredPhoto {
     /// Opaque public-parameter blob (the PSP never parses it — it lives in
     /// the image "description").
     params: Arc<[u8]>,
-    /// `(content_hash64(bytes), chain(that, params))`, primed at upload
-    /// from the single hashing pass the byte interner already pays — the
-    /// bitstream is never hashed twice. The first component keys the
-    /// decode memo (decode depends only on the bytes), the second is the
-    /// photo's content address for transform-cache and signature-memo
-    /// keys.
-    hashes: OnceLock<(u64, u64)>,
+    /// `(content_hash64(bytes), chain(that, params))`, taken from the
+    /// single hashing pass the byte interner already pays — the bitstream
+    /// is never hashed twice. The first component keys the decode memo
+    /// (decode depends only on the bytes), the second is the photo's
+    /// content address for transform-cache and signature-memo keys.
+    hashes: (u64, u64),
     /// Perceptual identity: `Some((signature, family-root content key))`
     /// once the upload-time indexer has run and the bytes decoded; `None`
     /// inside when the bytes are not a decodable JPEG.
@@ -63,24 +59,14 @@ struct StoredPhoto {
 }
 
 impl StoredPhoto {
-    fn hashes(&self) -> (u64, u64) {
-        *self.hashes.get_or_init(|| {
-            let bytes_key = content_hash64(&self.bytes);
-            (bytes_key, fnv64_chain(bytes_key, &self.params))
-        })
-    }
-
     fn size(&self) -> u64 {
         (self.bytes.len() + self.params.len()) as u64
     }
 }
 
 /// Whether a request could be served from the transform-result cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CacheOutcome {
-    /// The operation does not consult the cache (upload/download doors).
-    #[default]
-    NotApplicable,
     /// Served from the transform-result cache.
     Hit,
     /// Fell through to the decode→transform→re-encode pipeline.
@@ -91,11 +77,8 @@ pub enum CacheOutcome {
 /// hot path (no decode to pixels), the pixel-domain fallback (decode →
 /// transform → re-encode), or the transform-result cache (no codec work at
 /// all). The PSP's decode-free serving claim is measured from these.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServedPath {
-    /// The operation does not serve transforms (upload/download doors).
-    #[default]
-    NotApplicable,
     /// Served by `apply_to_coeff` on the cached coefficient memo — the
     /// stream was transformed without ever materializing pixels.
     CoeffDomain,
@@ -114,11 +97,21 @@ impl ServedPath {
     /// Stable wire/log token for the path (`x-served-path` header values).
     pub fn as_str(self) -> &'static str {
         match self {
-            ServedPath::NotApplicable => "none",
             ServedPath::CoeffDomain => "coeff-domain",
             ServedPath::PixelFallback => "pixel-fallback",
             ServedPath::Cached => "cached",
             ServedPath::SigCached => "sig-cached",
+        }
+    }
+
+    /// The path named by an [`ServedPath::as_str`] token.
+    pub fn parse(token: &str) -> Option<ServedPath> {
+        match token {
+            "coeff-domain" => Some(ServedPath::CoeffDomain),
+            "pixel-fallback" => Some(ServedPath::PixelFallback),
+            "cached" => Some(ServedPath::Cached),
+            "sig-cached" => Some(ServedPath::SigCached),
+            _ => None,
         }
     }
 }
@@ -294,6 +287,22 @@ impl PspServer {
             .ok_or(PspError::UnknownPhoto(id))
     }
 
+    /// Builds a photo over interned `bytes`: identical bytes share one
+    /// allocation, and the interner's hashing pass becomes the photo's
+    /// content address. Returns the photo and the footprint it adds —
+    /// the params, plus the bytes only when their allocation is fresh.
+    fn new_photo(&self, bytes: Arc<[u8]>, params: Arc<[u8]>) -> (Arc<StoredPhoto>, u64) {
+        let (bytes, fresh, bytes_key) = self.interner.intern(bytes);
+        let added = params.len() as u64 + if fresh { bytes.len() as u64 } else { 0 };
+        let stored = StoredPhoto {
+            hashes: (bytes_key, fnv64_chain(bytes_key, &params)),
+            bytes,
+            params,
+            identity: OnceLock::new(),
+        };
+        (Arc::new(stored), added)
+    }
+
     /// Publishes the current aggregate storage footprint and photo count as
     /// gauges, when a subscriber is installed.
     fn publish_gauges(&self) {
@@ -320,7 +329,7 @@ impl PspServer {
         // content the server has already hashed never pays the JPEG
         // decode again. Re-uploading identical bytes is the dominant
         // duplicate workload and must stay as cheap as storing them.
-        let (bytes_fnv, content_fnv) = stored.hashes();
+        let (bytes_fnv, content_fnv) = stored.hashes;
         let memoized = self.sig_memo.lock().get(&content_fnv).copied();
         let (sig, w, h, coeff) = match memoized {
             Some(None) => {
@@ -397,7 +406,7 @@ impl PspServer {
         if let Some(Some((sig, _))) = old.identity.get() {
             self.index.lock().remove(*sig, id);
         }
-        let (bytes_key, content_key) = old.hashes();
+        let (bytes_key, content_key) = old.hashes;
         if self.interner.release(bytes_key, &old.bytes) {
             self.footprint
                 .fetch_sub(old.bytes.len() as u64, Ordering::Relaxed);
@@ -436,23 +445,9 @@ impl PspServer {
         // Exact-duplicate sharing: identical bytes resolve to one shared
         // allocation and the aggregate footprint counts it once (the
         // per-photo logical size is unchanged).
-        let (shared, fresh, bytes_key) = self.interner.intern(bytes.into());
-        let stored = Arc::new(StoredPhoto {
-            bytes: shared,
-            params: params.into(),
-            hashes: OnceLock::new(),
-            identity: OnceLock::new(),
-        });
-        // Prime the content address from the pass the interner already
-        // paid — nothing downstream (decode memo, transform cache,
-        // signature memo) ever re-hashes the bitstream.
-        let _ = stored
-            .hashes
-            .set((bytes_key, fnv64_chain(bytes_key, &stored.params)));
-        let accounted =
-            stored.params.len() as u64 + if fresh { stored.bytes.len() as u64 } else { 0 };
+        let (stored, added) = self.new_photo(bytes.into(), params.into());
         self.shard(id).photos.write().insert(id, stored.clone());
-        self.footprint.fetch_add(accounted, Ordering::Relaxed);
+        self.footprint.fetch_add(added, Ordering::Relaxed);
         self.photo_count.fetch_add(1, Ordering::Relaxed);
         self.index_photo(id, &stored);
         puppies_obs::counted!("psp.uploads");
@@ -467,26 +462,13 @@ impl PspServer {
     /// id allocator past `id`, so post-recovery uploads never collide with
     /// restored photos. Not an API door: it bypasses the upload counters.
     pub fn restore_photo(&self, id: PhotoId, bytes: Vec<u8>, params: Vec<u8>) {
-        let (shared, fresh, bytes_key) = self.interner.intern(bytes.into());
-        let stored = Arc::new(StoredPhoto {
-            bytes: shared,
-            params: params.into(),
-            hashes: OnceLock::new(),
-            identity: OnceLock::new(),
-        });
-        let _ = stored
-            .hashes
-            .set((bytes_key, fnv64_chain(bytes_key, &stored.params)));
-        let accounted =
-            stored.params.len() as u64 + if fresh { stored.bytes.len() as u64 } else { 0 };
+        let (stored, added) = self.new_photo(bytes.into(), params.into());
         let replaced = self.shard(id).photos.write().insert(id, stored.clone());
-        self.footprint.fetch_add(accounted, Ordering::Relaxed);
+        self.footprint.fetch_add(added, Ordering::Relaxed);
         match replaced {
             Some(old) => {
                 self.retire_photo(id, &old);
-                if let Some(&(bytes_fnv, _)) = old.hashes.get() {
-                    self.memo.invalidate(bytes_fnv);
-                }
+                self.memo.invalidate(old.hashes.0);
             }
             None => {
                 self.photo_count.fetch_add(1, Ordering::Relaxed);
@@ -518,9 +500,7 @@ impl PspServer {
     /// Fails for unknown photos.
     pub fn download(&self, id: PhotoId) -> Result<Arc<[u8]>> {
         let _span = puppies_obs::span("psp.download", "psp");
-        let out = self.lookup(id).map(|p| p.bytes.clone());
-        puppies_obs::counted!("psp.downloads");
-        out
+        self.lookup(id).map(|p| p.bytes.clone())
     }
 
     /// Downloads the public-parameter blob. Zero-copy, like
@@ -563,11 +543,8 @@ impl PspServer {
         t: &Transformation,
     ) -> Result<(ServedPair, CacheOutcome, ServedPath)> {
         let _span = puppies_obs::span("psp.download_transformed", "psp");
-        let out = self
-            .lookup(id)
-            .and_then(|stored| self.serve_transform(&stored, t));
-        puppies_obs::counted!("psp.transform_serves");
-        out
+        self.lookup(id)
+            .and_then(|stored| self.serve_transform(&stored, t))
     }
 
     /// Applies a transformation to a stored photo *in place*, recording it
@@ -584,7 +561,6 @@ impl PspServer {
     pub fn transform(&self, id: PhotoId, t: &Transformation) -> Result<()> {
         let _span = puppies_obs::span("psp.transform", "psp");
         let out = self.transform_inner(id, t);
-        puppies_obs::counted!("psp.transforms");
         self.publish_gauges();
         out
     }
@@ -592,22 +568,7 @@ impl PspServer {
     fn transform_inner(&self, id: PhotoId, t: &Transformation) -> Result<()> {
         let stored = self.lookup(id)?;
         let ((new_bytes, new_params), _, _) = self.serve_transform(&stored, t)?;
-        let (shared, fresh, bytes_key) = self.interner.intern(new_bytes);
-        let replacement = Arc::new(StoredPhoto {
-            bytes: shared,
-            params: new_params,
-            hashes: OnceLock::new(),
-            identity: OnceLock::new(),
-        });
-        let _ = replacement
-            .hashes
-            .set((bytes_key, fnv64_chain(bytes_key, &replacement.params)));
-        let accounted = replacement.params.len() as u64
-            + if fresh {
-                replacement.bytes.len() as u64
-            } else {
-                0
-            };
+        let (replacement, added) = self.new_photo(new_bytes, new_params);
         {
             let mut photos = self.shard(id).photos.write();
             match photos.get(&id) {
@@ -621,7 +582,8 @@ impl PspServer {
                 // chain attempt.
                 Some(_) => {
                     drop(photos);
-                    self.interner.release(bytes_key, &replacement.bytes);
+                    self.interner
+                        .release(replacement.hashes.0, &replacement.bytes);
                     return Err(PspError::Transform(
                         puppies_transform::TransformError::InvalidParameter(
                             "photo changed concurrently; transform chain not supported".into(),
@@ -630,7 +592,8 @@ impl PspServer {
                 }
                 None => {
                     drop(photos);
-                    self.interner.release(bytes_key, &replacement.bytes);
+                    self.interner
+                        .release(replacement.hashes.0, &replacement.bytes);
                     return Err(PspError::UnknownPhoto(id));
                 }
             }
@@ -640,12 +603,10 @@ impl PspServer {
         // *results* keyed by the old content hash stay addressable — they
         // are still byte-correct answers for that content — and simply age
         // out.)
-        if let Some(&(bytes_fnv, _)) = stored.hashes.get() {
-            self.memo.invalidate(bytes_fnv);
-        }
+        self.memo.invalidate(stored.hashes.0);
         // Two wrapping steps net out to `footprint + new - old`; the total
         // stays exact even though the two updates are not one atomic op.
-        self.footprint.fetch_add(accounted, Ordering::Relaxed);
+        self.footprint.fetch_add(added, Ordering::Relaxed);
         self.retire_photo(id, &stored);
         self.index_photo(id, &replacement);
         Ok(())
@@ -659,7 +620,7 @@ impl PspServer {
         stored: &StoredPhoto,
         t: &Transformation,
     ) -> Result<(ServedPair, CacheOutcome, ServedPath)> {
-        let (bytes_fnv, content_fnv) = stored.hashes();
+        let (bytes_fnv, content_fnv) = stored.hashes;
         let t_canonical = t.canonical_bytes();
         let key = fnv64_chain(content_fnv, &t_canonical);
         // Second-level key: a recompressed near-duplicate shares its family
@@ -735,29 +696,6 @@ impl PspServer {
         self.cache
             .insert(key, new_bytes.clone(), new_params.clone());
         Ok(((new_bytes, new_params), CacheOutcome::Miss, served))
-    }
-
-    /// Serves many `(photo, transformation)` requests, fanning across the
-    /// ambient worker pool ([`puppies_core::parallel::current`]). Results
-    /// come back in request order; each is exactly what
-    /// [`PspServer::download_transformed`] would return. The store is not
-    /// modified.
-    pub fn transform_batch(
-        &self,
-        requests: &[(PhotoId, Transformation)],
-    ) -> Vec<Result<ServedPair>> {
-        let _span = puppies_obs::span("psp.transform_batch", "psp");
-        puppies_core::parallel::current().map_indexed(requests.len(), |i| {
-            let (id, ref t) = requests[i];
-            self.download_transformed(id, t)
-        })
-    }
-
-    /// Downloads many photos, fanning across the ambient worker pool.
-    /// Results come back in request order.
-    pub fn download_batch(&self, ids: &[PhotoId]) -> Vec<Result<Arc<[u8]>>> {
-        let _span = puppies_obs::span("psp.download_batch", "psp");
-        puppies_core::parallel::current().map_indexed(ids.len(), |i| self.download(ids[i]))
     }
 
     /// Number of stored photos (O(1) — maintained incrementally).
@@ -1037,41 +975,6 @@ mod tests {
         assert_eq!(rc.0, ru.0);
         assert_eq!(rc.1, ru.1);
         assert_eq!(uncached.cache_stats().hits, 0);
-    }
-
-    #[test]
-    fn batch_apis_match_serial_results() {
-        let server = PspServer::new();
-        let (id1, _) = upload_test_photo(&server);
-        let (id2, _) = upload_test_photo(&server);
-        let requests = vec![
-            (id1, Transformation::Rotate90),
-            (id2, Transformation::FlipVertical),
-            (PhotoId(999), Transformation::Rotate90),
-            (id1, Transformation::Rotate90),
-        ];
-        let batch = server.transform_batch(&requests);
-        assert_eq!(batch.len(), 4);
-        assert!(batch[2].is_err());
-        let serial = server
-            .download_transformed(id1, &Transformation::Rotate90)
-            .unwrap();
-        assert_eq!(batch[0].as_ref().unwrap().0, serial.0);
-        assert_eq!(
-            batch[3].as_ref().unwrap().0,
-            batch[0].as_ref().unwrap().0,
-            "duplicate request in one batch serves identical bytes"
-        );
-        let downloads = server.download_batch(&[id1, PhotoId(999), id2]);
-        assert_eq!(
-            downloads[0].as_ref().unwrap(),
-            &server.download(id1).unwrap()
-        );
-        assert!(downloads[1].is_err());
-        assert_eq!(
-            downloads[2].as_ref().unwrap(),
-            &server.download(id2).unwrap()
-        );
     }
 
     #[test]

@@ -6,7 +6,7 @@ use puppies_core::{protect, OwnerKey, ProtectOptions};
 use puppies_image::{Rect, Rgb, RgbImage};
 use puppies_psp::net::client::{WireCache, WireServed};
 use puppies_psp::net::{Client, ServeConfig, Server};
-use puppies_psp::{KeyAgreement, PspConfig, PspServer};
+use puppies_psp::{KeyAgreement, PhotoId, PspConfig, PspServer};
 use puppies_transform::Transformation;
 use std::path::{Path, PathBuf};
 use std::thread::JoinHandle;
@@ -313,9 +313,10 @@ fn metrics_scrape_is_prometheus_text_and_counters_are_monotone() {
     client
         .download_transformed(receipt.id, &Transformation::Rotate90)
         .unwrap();
+    client.download(receipt.id).unwrap();
 
     let first = client.metrics_text().unwrap();
-    assert!(first.contains("# TYPE psp_net_requests_total counter"));
+    assert!(first.contains("# TYPE psp_slo_requests_total counter"));
     assert!(first.contains("psp_ready 1"));
     assert!(first.contains("psp_slo_requests_total{endpoint=\"transformed\"}"));
     assert!(first.contains("psp_slo_window_coeff_serve_rate{endpoint=\"transformed\"} 1"));
@@ -329,15 +330,106 @@ fn metrics_scrape_is_prometheus_text_and_counters_are_monotone() {
     };
     client.download(receipt.id).unwrap();
     let second = client.metrics_text().unwrap();
-    assert!(
-        parse(&second, "psp_net_requests_total") > parse(&first, "psp_net_requests_total"),
-        "request counter must be monotone across scrapes"
+    let downloads = "psp_slo_requests_total{endpoint=\"download\"}";
+    assert_eq!(
+        parse(&second, downloads),
+        parse(&first, downloads) + 1.0,
+        "one download between scrapes counts exactly once"
     );
     // The structured access log captured the served-path fields.
     let log = std::fs::read_to_string(dir.join("access.log")).unwrap();
     assert!(log.contains("\"served\":\"coeff-domain\""), "got: {log}");
     assert!(log.contains("\"cache\":\"hit\""), "got: {log}");
 
+    drop(session.finish());
+    stop(run);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_request_is_recorded_exactly_once() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let dir = tmp("once");
+    let session = puppies_obs::Obs::install();
+    let run = start(&dir);
+    let mut client = Client::connect(&run.addr).unwrap();
+    let (bytes, params) = protected_photo(4);
+    let receipt = client.upload(&bytes, &params).unwrap();
+    client.upload(&bytes, &params).unwrap();
+    client.download(receipt.id).unwrap();
+    client.download(receipt.id).unwrap();
+    // The 4xx: counted like any request, but not against the SLO.
+    assert!(client.download(PhotoId(999_999)).is_err());
+    client.download_params(receipt.id).unwrap();
+    for _ in 0..3 {
+        client
+            .download_transformed(receipt.id, &Transformation::Rotate90)
+            .unwrap();
+    }
+    client
+        .transform(
+            receipt.id,
+            &receipt.owner_token,
+            &Transformation::FlipVertical,
+        )
+        .unwrap();
+    client.search(&bytes, Some(&params)).unwrap();
+    let receiver = KeyAgreement::new(&mut rand_seeded(3));
+    let token = client.register_receiver(receiver.public_value()).unwrap();
+    client
+        .deposit_grant(receiver.public_value(), 7, b"sealed")
+        .unwrap();
+    client.fetch_grants(&token).unwrap();
+    client.health().unwrap();
+    // A scrape is recorded after it renders, so this one sees exactly
+    // the requests above.
+    let text = client.metrics_text().unwrap();
+    let value = |series: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("series {series} missing:\n{text}"))
+    };
+    let sent = [
+        ("upload", 2.0),
+        ("download", 3.0),
+        ("params", 1.0),
+        ("transformed", 3.0),
+        ("transform", 1.0),
+        ("search", 1.0),
+        ("receivers", 1.0),
+        ("grants", 2.0),
+        ("other", 1.0),
+    ];
+    for (ep, n) in sent {
+        assert_eq!(value(&format!("psp_net_{ep}_us_count")), n, "{ep}");
+        assert_eq!(
+            value(&format!("psp_slo_requests_total{{endpoint=\"{ep}\"}}")),
+            n,
+            "{ep}"
+        );
+        assert_eq!(
+            value(&format!("psp_slo_errors_total{{endpoint=\"{ep}\"}}")),
+            0.0,
+            "{ep}"
+        );
+    }
+    assert_eq!(value("psp_ready"), 1.0);
+    // Every family that duplicated the tracker's record is gone.
+    for deleted in [
+        "psp_net_requests_total",
+        "psp_net_errors_total",
+        "psp_net_req_us",
+        "psp_net_ready",
+        "psp_downloads_total",
+        "psp_transform_serves_total",
+        "psp_transforms_total",
+    ] {
+        let hit = text.lines().find(|l| {
+            l.split([' ', '{'])
+                .any(|tok| tok == deleted || tok.starts_with(&format!("{deleted}_")))
+        });
+        assert!(hit.is_none(), "{deleted} still exported: {hit:?}");
+    }
     drop(session.finish());
     stop(run);
     let _ = std::fs::remove_dir_all(&dir);
@@ -370,9 +462,8 @@ fn trace_header_stitches_one_tree_and_malformed_headers_are_safe() {
         client
             .download_transformed(receipt.id, &Transformation::Rotate90)
             .unwrap();
-        let mut cfg = puppies_psp::ClusterConfig::new(3, 2);
-        cfg.backend = PspConfig::uncached();
-        let cluster = puppies_psp::ShardedPspCluster::new(cfg).unwrap();
+        let cluster =
+            puppies_psp::ShardedPspCluster::new(puppies_psp::ClusterConfig::new(3, 2)).unwrap();
         let grant = OwnerKey::from_seed([8u8; 32]).grant_all();
         let id = cluster
             .upload(bytes.clone(), params.clone(), &grant)

@@ -65,7 +65,6 @@ fn served_paths_match_eligibility_repeats_hit_and_counters_agree() {
                     ServedPath::CoeffDomain => coeff_domain += 1,
                     ServedPath::PixelFallback => pixel_fallback += 1,
                     ServedPath::Cached | ServedPath::SigCached => cached += 1,
-                    ServedPath::NotApplicable => panic!("{t:?} reported no served path"),
                 }
                 if pass == 0 {
                     let expected = if t.is_coeff_domain(w, h) {

@@ -143,7 +143,7 @@ fn mixed_ops_from_eight_threads_no_deadlock_and_exact_accounting() {
 
 #[test]
 fn cache_on_vs_off_is_byte_identical_across_worker_counts() {
-    // The same batched workload must produce byte-identical results with
+    // The same fanned-out workload must produce byte-identical results with
     // the transform cache on or off, at 1, 2 and 4 workers. This is the
     // "caching is an optimization, never an observable" guarantee.
     let fixtures: Vec<(Vec<u8>, Vec<u8>)> = (0..3u8)
@@ -176,7 +176,12 @@ fn cache_on_vs_off_is_byte_identical_across_worker_counts() {
             }
         }
         let pool = WorkerPool::new(workers);
-        let results = with_pool(&pool, || server.transform_batch(&requests));
+        let results = with_pool(&pool, || {
+            puppies_core::parallel::current().map_indexed(requests.len(), |i| {
+                let (id, ref t) = requests[i];
+                server.download_transformed(id, t)
+            })
+        });
         results
             .into_iter()
             .map(|r| {
