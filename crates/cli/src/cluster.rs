@@ -127,7 +127,7 @@ fn demo(args: &[String]) -> Result<(), String> {
     if crate::has_flag(args, "--rebalance") {
         for &i in &kills {
             cluster.replace_backend(i).map_err(|e| e.to_string())?;
-            println!("backend {i}: replaced with a fresh empty server");
+            println!("backend {i}: replaced with a fresh empty backend");
         }
         for &i in &corrupts {
             cluster.clear_fault(i);

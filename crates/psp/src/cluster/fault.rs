@@ -36,16 +36,6 @@ impl FaultPlan {
         }
     }
 
-    /// Number of backend slots.
-    pub fn len(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// True when the plan has no slots.
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
-    }
-
     /// Arms `fault` on `backend` (replacing any existing fault).
     ///
     /// # Panics
@@ -58,13 +48,6 @@ impl FaultPlan {
     /// Heals `backend`.
     pub fn clear(&self, backend: usize) {
         *self.slots[backend].lock() = None;
-    }
-
-    /// Heals every backend.
-    pub fn clear_all(&self) {
-        for slot in &self.slots {
-            *slot.lock() = None;
-        }
     }
 
     /// The currently armed fault for `backend`, if any.
@@ -88,13 +71,6 @@ impl FaultPlan {
             }
         }
     }
-
-    /// Indices of backends currently armed with `Kill`.
-    pub fn dead_backends(&self) -> Vec<usize> {
-        (0..self.len())
-            .filter(|&i| self.get(i) == Some(Fault::Kill))
-            .collect()
-    }
 }
 
 /// Result of consulting the plan for one operation.
@@ -115,18 +91,17 @@ mod tests {
     #[test]
     fn arm_clear_cycle() {
         let plan = FaultPlan::healthy(3);
-        assert_eq!(plan.len(), 3);
         assert_eq!(plan.apply(1), FaultOutcome::Healthy);
         plan.set(1, Fault::Kill);
         assert_eq!(plan.apply(1), FaultOutcome::Dead);
-        assert_eq!(plan.dead_backends(), vec![1]);
         plan.set(2, Fault::Corrupt);
         assert_eq!(plan.apply(2), FaultOutcome::Corrupting);
+        assert_eq!(plan.get(1), Some(Fault::Kill));
         plan.clear(1);
         assert_eq!(plan.apply(1), FaultOutcome::Healthy);
-        plan.clear_all();
+        assert_eq!(plan.get(1), None);
+        plan.clear(2);
         assert_eq!(plan.apply(2), FaultOutcome::Healthy);
-        assert!(plan.dead_backends().is_empty());
     }
 
     #[test]

@@ -7,8 +7,10 @@
 //! serialized [`KeyGrant`] (private perturbation matrices) together with
 //! the protected JPEG payload — is framed, Shamir-split over GF(2⁸)
 //! ([`shamir`]), and one share is stored on each of `n` independent
-//! simulated backends (each a full [`PspServer`]). Public parameters stay
-//! public and are kept once, by the cluster. Any `k` backends reconstruct the upload
+//! simulated backends. A backend is a plain share map from (upload id,
+//! generation) to the share's wire bytes: it holds opaque shares and
+//! nothing else. Public parameters stay public and are kept once, by the
+//! cluster. Any `k` backends reconstruct the upload
 //! byte-exactly; any `k−1` learn nothing (information-theoretically — the
 //! `puppies-attacks` leakage oracles measure this rather than assume it).
 //!
@@ -22,17 +24,18 @@
 //! faults consulted on every share store/fetch, and
 //! [`ShardedPspCluster::replace_backend`] + `rebalance` re-share with
 //! fresh randomness under a bumped generation so replaced capacity heals
-//! and stale shares can never be mixed into a fresh quorum.
+//! and stale shares can never be mixed into a fresh quorum. A failed
+//! upload or rebalance removes the shares it wrote, and a committed
+//! rebalance removes the superseded generation from every live backend.
 
 pub mod fault;
 pub mod gf256;
 pub mod shamir;
 
 use crate::sha256::sha256_concat;
-use crate::store::{PhotoId, PspServer};
 use crate::{PspError, Result};
 use fault::{Fault, FaultOutcome, FaultPlan};
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use puppies_core::parallel;
 use puppies_core::{KeyGrant, PublicParams};
 use puppies_image::RgbImage;
@@ -40,8 +43,8 @@ use shamir::Share;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Identifier of an upload in the cluster (distinct from the per-backend
-/// [`PhotoId`]s its shares map to).
+/// Identifier of an upload in the cluster; every backend keys the
+/// upload's share by this id and the share's generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterPhotoId(pub u64);
 
@@ -82,21 +85,26 @@ struct UploadMeta {
     params: std::sync::Arc<[u8]>,
     /// Current share generation; bumped by every rebalance.
     generation: u16,
-    /// Per-backend photo id of the stored share (`None` = missing).
-    slots: Vec<Option<PhotoId>>,
     /// SHA-256 of the framed secret, checked after reconstruction.
     secret_sha: [u8; 32],
 }
 
-/// A k-of-n cluster of simulated PSP backends with failure injection.
+/// One simulated backend: the wire bytes of each share it holds, keyed
+/// by (upload id, generation).
+type ShareMap = HashMap<(u64, u16), Vec<u8>>;
+
+/// A k-of-n cluster of simulated share backends with failure injection.
 ///
 /// All methods take `&self`; internal state is lock-protected so tests
 /// can drive uploads, faults, and rebalances from many threads.
 pub struct ShardedPspCluster {
     config: ClusterConfig,
-    backends: Vec<RwLock<PspServer>>,
+    backends: Vec<RwLock<ShareMap>>,
     faults: FaultPlan,
     uploads: RwLock<HashMap<u64, UploadMeta>>,
+    /// Serializes rebalances: two re-shares of one upload would write
+    /// the same (id, generation) keys with different splits.
+    rebalancing: Mutex<()>,
     next_id: AtomicU64,
     split_nonce: AtomicU64,
 }
@@ -113,6 +121,13 @@ impl std::fmt::Debug for ShardedPspCluster {
 
 fn cluster_err(msg: impl Into<String>) -> PspError {
     PspError::Cluster(msg.into())
+}
+
+/// Flips one byte of a share's wire form: what a corrupting backend does
+/// in flight, caught by the share's integrity tag.
+fn mangle(wire: &mut [u8]) {
+    let mid = wire.len() / 2;
+    wire[mid] ^= 0x01;
 }
 
 /// Frames (grant, image bytes) into the secret buffer that gets split:
@@ -149,7 +164,7 @@ fn unframe_secret(secret: &[u8]) -> Result<(KeyGrant, Vec<u8>)> {
 }
 
 impl ShardedPspCluster {
-    /// Builds an (n, k) cluster of fresh backends.
+    /// Builds an (n, k) cluster of empty backends.
     ///
     /// # Errors
     /// Fails on (n, k) outside 1 ≤ k ≤ n ≤ 255.
@@ -160,27 +175,15 @@ impl ShardedPspCluster {
                 config.n, config.k
             )));
         }
-        let backends = (0..config.n)
-            .map(|_| RwLock::new(PspServer::new()))
-            .collect();
         Ok(ShardedPspCluster {
             faults: FaultPlan::healthy(config.n),
-            backends,
+            backends: (0..config.n).map(|_| RwLock::default()).collect(),
             config,
             uploads: RwLock::new(HashMap::new()),
+            rebalancing: Mutex::new(()),
             next_id: AtomicU64::new(1),
             split_nonce: AtomicU64::new(0),
         })
-    }
-
-    /// Number of backends (n).
-    pub fn backend_count(&self) -> usize {
-        self.config.n
-    }
-
-    /// Reconstruction threshold (k).
-    pub fn threshold(&self) -> usize {
-        self.config.k
     }
 
     /// Number of uploads currently tracked.
@@ -198,11 +201,6 @@ impl ShardedPspCluster {
         self.faults.clear(backend);
     }
 
-    /// Heals every backend.
-    pub fn clear_faults(&self) {
-        self.faults.clear_all();
-    }
-
     fn derive_split_seed(&self, id: u64, generation: u16) -> [u8; 32] {
         let nonce = self.split_nonce.fetch_add(1, Ordering::Relaxed);
         sha256_concat(&[
@@ -214,44 +212,41 @@ impl ShardedPspCluster {
         ])
     }
 
-    /// Splits `secret` at `generation` and stores one share per backend,
-    /// honoring armed faults. Returns the slot vector and how many shares
-    /// were stored *healthily* (corrupting backends store mangled bytes,
-    /// which cannot count toward a reconstruction quorum).
-    fn store_shares(
-        &self,
-        id: u64,
-        secret: &[u8],
-        generation: u16,
-    ) -> Result<(Vec<Option<PhotoId>>, usize)> {
+    /// Splits `secret` at `generation` and stores one share per backend
+    /// under `(id, generation)`, honoring armed faults. Returns how many
+    /// shares were stored *healthily* (corrupting backends store mangled
+    /// bytes, which cannot count toward a reconstruction quorum).
+    fn store_shares(&self, id: u64, secret: &[u8], generation: u16) -> Result<usize> {
         let seed = self.derive_split_seed(id, generation);
         let shares = shamir::split(secret, self.config.n, self.config.k, generation, seed)
             .map_err(|e| cluster_err(e.to_string()))?;
         // Worker threads have their own span stacks, so each backend call
         // parents itself explicitly to keep the trace tree connected.
         let parent = puppies_obs::current_span_id();
-        let stored = parallel::current().map_indexed(self.config.n, |i| {
+        let healthy = parallel::current().map_indexed(self.config.n, |i| {
             let _span = puppies_obs::span_with_parent("cluster.backend.store", "cluster", parent);
             let outcome = self.faults.apply(i);
             if outcome == FaultOutcome::Dead {
-                return (None, false);
+                return false;
             }
             let mut wire = shares[i].to_bytes();
-            let healthy = outcome == FaultOutcome::Healthy;
-            if !healthy {
-                // A corrupting backend mangles the share in flight; the
-                // integrity tag turns this into a loud fetch-time reject.
-                let mid = wire.len() / 2;
-                wire[mid] ^= 0x01;
+            if outcome == FaultOutcome::Corrupting {
+                mangle(&mut wire);
             }
-            match self.backends[i].read().upload(wire, Vec::new()) {
-                Ok(pid) => (Some(pid), healthy),
-                Err(_) => (None, false),
-            }
+            self.backends[i].write().insert((id, generation), wire);
+            outcome == FaultOutcome::Healthy
         });
-        let healthy_stores = stored.iter().filter(|(_, h)| *h).count();
-        let slots = stored.into_iter().map(|(pid, _)| pid).collect();
-        Ok((slots, healthy_stores))
+        Ok(healthy.into_iter().filter(|&h| h).count())
+    }
+
+    /// Removes every share of `(id, generation)` from the backends that
+    /// are not dead; a killed backend keeps whatever it held.
+    fn drop_shares(&self, id: u64, generation: u16) {
+        for (i, backend) in self.backends.iter().enumerate() {
+            if self.faults.get(i) != Some(Fault::Kill) {
+                backend.write().remove(&(id, generation));
+            }
+        }
     }
 
     /// Uploads a protected photo: frames (grant ‖ bytes) as the secret,
@@ -272,8 +267,9 @@ impl ShardedPspCluster {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let secret = frame_secret(grant, &bytes);
         let secret_sha = crate::sha256::sha256(&secret);
-        let (slots, healthy) = self.store_shares(id, &secret, 0)?;
+        let healthy = self.store_shares(id, &secret, 0)?;
         if healthy < self.config.k {
+            self.drop_shares(id, 0);
             puppies_obs::counted!("cluster.upload_rejected");
             return Err(cluster_err(format!(
                 "quorum failed: {healthy} healthy share stores < k = {}",
@@ -285,7 +281,6 @@ impl ShardedPspCluster {
             UploadMeta {
                 params: params.into(),
                 generation: 0,
-                slots,
                 secret_sha,
             },
         );
@@ -308,22 +303,18 @@ impl ShardedPspCluster {
 
     /// Fetches the current-generation share held by `backend` for `id`,
     /// honoring armed faults. `Ok(None)` means the backend has no usable
-    /// share (dead, empty slot, corrupted, or stale generation).
+    /// share (dead, no share of that generation, corrupted, or stale).
     fn fetch_share(&self, id: u64, backend: usize, generation: u16) -> Option<Share> {
-        let meta_slot = {
-            let uploads = self.uploads.read();
-            uploads.get(&id)?.slots.get(backend).copied().flatten()
-        };
-        let pid = meta_slot?;
         let outcome = self.faults.apply(backend);
         if outcome == FaultOutcome::Dead {
             return None;
         }
-        let wire = self.backends[backend].read().download(pid).ok()?;
-        let mut wire = wire.to_vec();
+        let mut wire = self.backends[backend]
+            .read()
+            .get(&(id, generation))?
+            .clone();
         if outcome == FaultOutcome::Corrupting {
-            let mid = wire.len() / 2;
-            wire[mid] ^= 0x01;
+            mangle(&mut wire);
         }
         let share = Share::from_bytes(&wire).ok()?;
         // Tag verification rejects corrupted shares; the generation check
@@ -414,61 +405,60 @@ impl ShardedPspCluster {
         )?)
     }
 
-    /// Swaps backend `i` for a fresh, empty server (simulating a node
-    /// replacement), clearing its fault slot and voiding its share slot
-    /// in every upload. Until [`Self::rebalance_all`] runs, uploads
-    /// tolerate one fewer failure.
+    /// Swaps backend `i` for an empty one (simulating a node
+    /// replacement): clears its share map and its fault slot. Until
+    /// [`Self::rebalance_all`] runs, uploads tolerate one fewer failure.
     pub fn replace_backend(&self, i: usize) -> Result<()> {
         if i >= self.config.n {
             return Err(cluster_err(format!("no backend {i}")));
         }
-        *self.backends[i].write() = PspServer::new();
+        self.backends[i].write().clear();
         self.faults.clear(i);
-        let mut uploads = self.uploads.write();
-        for meta in uploads.values_mut() {
-            meta.slots[i] = None;
-        }
         puppies_obs::counted!("cluster.backend_replaced");
         Ok(())
     }
 
     /// Re-shares one upload: reconstructs the secret from the current
     /// quorum, splits it again with fresh randomness under generation+1,
-    /// and stores the new shares on every live backend. Stale shares of
-    /// the old generation are rejected by the generation check wherever
-    /// they survive.
+    /// and stores the new shares on every live backend. Once the new
+    /// generation is committed, the old one is removed from every live
+    /// backend; a backend that was dead through the rebalance keeps its
+    /// stale shares, which no fetch of the new generation can see.
     ///
     /// # Errors
     /// Fails when the current quorum cannot reconstruct, or fewer than k
-    /// healthy backends accept the new shares.
+    /// healthy backends accept the new shares. A failed rebalance removes
+    /// the shares it wrote and leaves the old generation readable.
     pub fn rebalance(&self, id: ClusterPhotoId) -> Result<()> {
         let _span = puppies_obs::span("cluster.rebalance", "psp");
+        let _serial = self.rebalancing.lock();
         let secret = {
             let all: Vec<usize> = (0..self.config.n).collect();
             self.reconstruct_secret(id, &all)?
         };
-        let generation = {
-            let uploads = self.uploads.read();
-            let meta = uploads
-                .get(&id.0)
-                .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?;
-            meta.generation
-                .checked_add(1)
-                .ok_or_else(|| cluster_err("re-share generation exhausted (u16 wrapped)"))?
-        };
-        let (slots, healthy) = self.store_shares(id.0, &secret, generation)?;
+        let old = self
+            .uploads
+            .read()
+            .get(&id.0)
+            .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?
+            .generation;
+        let generation = old
+            .checked_add(1)
+            .ok_or_else(|| cluster_err("re-share generation exhausted (u16 wrapped)"))?;
+        let healthy = self.store_shares(id.0, &secret, generation)?;
         if healthy < self.config.k {
+            self.drop_shares(id.0, generation);
             return Err(cluster_err(format!(
                 "rebalance quorum failed: {healthy} healthy share stores < k = {}",
                 self.config.k
             )));
         }
-        let mut uploads = self.uploads.write();
-        let meta = uploads
+        self.uploads
+            .write()
             .get_mut(&id.0)
-            .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?;
-        meta.generation = generation;
-        meta.slots = slots;
+            .ok_or_else(|| cluster_err(format!("unknown cluster photo {}", id.0)))?
+            .generation = generation;
+        self.drop_shares(id.0, old);
         puppies_obs::counted!("cluster.rebalances");
         Ok(())
     }
@@ -561,6 +551,68 @@ mod tests {
         c.fault(1, Fault::Kill);
         assert!(c.upload(vec![5u8; 32], vec![], &grant()).is_err());
         assert_eq!(c.upload_count(), 0);
+    }
+
+    /// The (upload id, generation) keys backend `b` holds, sorted.
+    fn held(c: &ShardedPspCluster, b: usize) -> Vec<(u64, u16)> {
+        let mut keys: Vec<_> = c.backends[b].read().keys().copied().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn failed_quorum_upload_leaves_every_backend_empty() {
+        let c = cluster(3, 2);
+        // Backend 1 stores a mangled share and backend 2 a clean one:
+        // one healthy store, below k, so both must be taken back.
+        c.fault(0, Fault::Kill);
+        c.fault(1, Fault::Corrupt);
+        assert!(c.upload(vec![5u8; 32], vec![], &grant()).is_err());
+        for b in 0..3 {
+            assert!(held(&c, b).is_empty(), "backend {b} kept an orphan share");
+        }
+    }
+
+    #[test]
+    fn rebalance_leaves_live_backends_only_current_generation_shares() {
+        let c = cluster(5, 3);
+        let ids: Vec<u64> = (0..3)
+            .map(|i| c.upload(vec![i as u8; 200], vec![], &grant()).unwrap().0)
+            .collect();
+        c.rebalance_all().unwrap();
+        // Backend 4 is dead through the second rebalance and keeps its
+        // generation-1 shares; every live backend holds generation 2 only.
+        c.fault(4, Fault::Kill);
+        assert_eq!(c.rebalance_all().unwrap(), 3);
+        let current: Vec<(u64, u16)> = ids.iter().map(|&id| (id, 2)).collect();
+        for b in 0..4 {
+            assert_eq!(held(&c, b), current, "backend {b}");
+        }
+        let stale: Vec<(u64, u16)> = ids.iter().map(|&id| (id, 1)).collect();
+        assert_eq!(held(&c, 4), stale);
+        for (i, &id) in ids.iter().enumerate() {
+            let (_, back) = c.reconstruct(ClusterPhotoId(id)).unwrap();
+            assert_eq!(back, vec![i as u8; 200]);
+        }
+    }
+
+    #[test]
+    fn failed_rebalance_removes_its_shares_and_keeps_the_old_generation() {
+        let c = cluster(3, 2);
+        // Backend 0 corrupts while taking its share, so it holds mangled
+        // bytes that its later in-flight corruption flips back: it still
+        // serves a verifying generation-0 share, but no clean new one.
+        c.fault(0, Fault::Corrupt);
+        let id = c.upload(vec![0x33; 120], vec![], &grant()).unwrap();
+        c.fault(1, Fault::Corrupt);
+        // The old quorum {0, 2} reads; only backend 2 stores cleanly.
+        assert!(c.rebalance(id).is_err());
+        for b in 0..3 {
+            assert_eq!(held(&c, b), vec![(id.0, 0)], "backend {b}");
+        }
+        c.clear_fault(1);
+        let (_, back) = c.reconstruct(id).unwrap();
+        assert_eq!(back, vec![0x33; 120]);
     }
 
     #[test]

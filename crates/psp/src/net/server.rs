@@ -23,8 +23,9 @@
 //! histogram.
 //! Requests carrying an `x-puppies-trace` header are adopted as children
 //! of the caller's span, so one Chrome trace stitches client, server, and
-//! backends. A sampled structured access log (JSON lines, `access.log` in
-//! the store dir) records what the fixed in-memory ring cannot retain.
+//! backends. A structured access log (JSON lines, `access.log` in the
+//! store dir) keeps one line per sampled request and per slow request:
+//! its status, size, duration, served path, cache outcome and trace id.
 
 use super::http::{self, ReadOutcome, Request, Response};
 use super::proto;
@@ -209,9 +210,8 @@ fn random_token() -> [u8; 32] {
 /// Shared state between the accept loop and handler threads.
 struct Shared {
     /// Published by [`Recovery::run`] once WAL replay finishes; every
-    /// store-touching route is gated on `ready` first.
+    /// store-touching route is gated on [`Shared::ready`] first.
     store: OnceLock<DiskStore>,
-    ready: AtomicBool,
     dir: PathBuf,
     admin_token: String,
     tunables: RwLock<Tunables>,
@@ -228,7 +228,7 @@ impl Shared {
     }
 
     fn ready(&self) -> bool {
-        self.ready.load(Ordering::Acquire)
+        self.store.get().is_some()
     }
 
     /// Per-photo owner token: a one-way keyed derivation from the admin
@@ -284,7 +284,6 @@ impl Recovery {
             Ok(store) => {
                 let stats = store.recovery();
                 let _ = self.shared.store.set(store);
-                self.shared.ready.store(true, Ordering::Release);
                 Ok(stats)
             }
             Err(e) => {
@@ -338,7 +337,6 @@ impl Server {
             .map(BufWriter::new);
         let shared = Arc::new(Shared {
             store: OnceLock::new(),
-            ready: AtomicBool::new(false),
             dir: config.dir.clone(),
             admin_token,
             tunables: RwLock::new(Tunables::load(&config.dir)),

@@ -460,7 +460,9 @@ impl PspServer {
     /// the WAL). Overwrites any existing entry (a `Transform` WAL record
     /// replays as an overwrite of the `Upload` before it) and advances the
     /// id allocator past `id`, so post-recovery uploads never collide with
-    /// restored photos. Not an API door: it bypasses the upload counters.
+    /// restored photos. Not an API door: it bypasses the upload counters,
+    /// but publishes the store-size gauges so a recovered store reports
+    /// its size before its first write.
     pub fn restore_photo(&self, id: PhotoId, bytes: Vec<u8>, params: Vec<u8>) {
         let (stored, added) = self.new_photo(bytes.into(), params.into());
         let replaced = self.shard(id).photos.write().insert(id, stored.clone());
@@ -490,6 +492,7 @@ impl PspServer {
                 Err(seen) => cur = seen,
             }
         }
+        self.publish_gauges();
     }
 
     /// Downloads the image bytes (any user may call this — the threat

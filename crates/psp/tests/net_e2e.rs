@@ -293,6 +293,48 @@ fn readyz_is_503_until_recovery_publishes_the_store() {
 }
 
 #[test]
+fn first_scrape_after_wal_replay_reports_the_recovered_store() {
+    let _guard = OBS_LOCK.lock().unwrap();
+    let dir = tmp("gauges");
+    {
+        let run = start(&dir);
+        let mut client = Client::connect(&run.addr).unwrap();
+        for seed in [11, 12, 13] {
+            let (bytes, params) = protected_photo(seed);
+            client.upload(&bytes, &params).unwrap();
+        }
+        stop(run);
+    }
+    let session = puppies_obs::Obs::install();
+    let (server, recovery) = Server::bind_unready(&ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        dir: dir.clone(),
+        fsync: false,
+        psp: PspConfig::default(),
+    })
+    .unwrap();
+    let addr = server.local_addr().unwrap().to_string();
+    let join = std::thread::spawn(move || server.run().unwrap());
+    let stats = recovery.run().unwrap();
+    assert_eq!(stats.photos, 3);
+    let mut client = Client::connect(&addr).unwrap();
+    let text = client.metrics_text().unwrap();
+    let value = |series: &str| -> f64 {
+        text.lines()
+            .find_map(|l| l.strip_prefix(series)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("series {series} missing:\n{text}"))
+    };
+    assert_eq!(value("psp_photos"), stats.photos as f64);
+    assert!(value("psp_storage_bytes") > 0.0);
+    assert_eq!(value("psp_sig_index_entries"), stats.photos as f64);
+    let admin = std::fs::read_to_string(dir.join("admin.token")).unwrap();
+    client.shutdown(admin.trim()).unwrap();
+    join.join().unwrap();
+    drop(session.finish());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn metrics_scrape_is_prometheus_text_and_counters_are_monotone() {
     let _guard = OBS_LOCK.lock().unwrap();
     let dir = tmp("metrics");
@@ -518,6 +560,13 @@ fn trace_header_stitches_one_tree_and_malformed_headers_are_safe() {
         .filter(|s| s.name == "cluster.backend.fetch" && descends_from_root(s.id))
         .count();
     assert_eq!(backend_stores, 3, "one store span per backend");
+    // Cluster backends are share maps, not stores: the only `psp.upload`
+    // span under the root is the wire upload's.
+    let store_uploads = spans
+        .iter()
+        .filter(|s| s.name == "psp.upload" && descends_from_root(s.id))
+        .count();
+    assert_eq!(store_uploads, 1, "psp.upload spans under the test root");
     assert!(
         backend_fetches >= 2,
         "at least k fetch spans, got {backend_fetches}"
